@@ -10,8 +10,8 @@ breakdown whose sum must account for the recorded total latency.
 Checks, per record:
   - the line parses as a JSON object with every required key;
   - reason is "slow" or "sampled", trace_id looks like "0x<hex>";
-  - total_ns is a positive integer and the five phase_ns entries
-    (queue, decode, cache, search, encode) are non-negative integers;
+  - total_ns is a positive integer and the four phase_ns entries
+    (queue, decode, search, encode) are non-negative integers;
   - |sum(phase_ns) - total_ns| / total_ns <= --max-phase-skew.
 
 Whole-file checks:
@@ -39,7 +39,6 @@ REQUIRED_KEYS = (
     "hierarchy",
     "metric",
     "k",
-    "cache_hit",
     "found",
     "overloaded",
     "epoch",
@@ -48,7 +47,7 @@ REQUIRED_KEYS = (
     "phase_ns",
 )
 
-PHASES = ("queue", "decode", "cache", "search", "encode")
+PHASES = ("queue", "decode", "search", "encode")
 
 TRACE_ID_RE = re.compile(r"^0x[0-9a-f]{1,16}$")
 

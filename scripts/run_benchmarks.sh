@@ -31,8 +31,7 @@ done
 # End-to-end serving rows: drive the socket server over the same cached
 # suite graphs the query-throughput bench used, with a deep pipeline
 # window so the row measures sustained server QPS (not loopback RTT).
-# The repeated (metric, k) workload keeps the result cache hot, which is
-# the configuration the serve_bench baseline rows are meant to track.
+# Argmax requests are answered from each generation's per-level tables.
 CLI="$BUILD_DIR/tools/hcd_cli"
 if [ -x "$CLI" ]; then
   for g in bench_data/*.bin; do

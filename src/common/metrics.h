@@ -29,8 +29,8 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-write-wins double gauge (stored as a bit pattern so the atomic is
-/// always lock-free).
+/// Double gauge: Set is last-write-wins, Add an atomic read-modify-write
+/// (stored as a bit pattern so the atomic is always lock-free).
 class Gauge {
  public:
   void Set(double value) {
@@ -38,6 +38,21 @@ class Gauge {
     static_assert(sizeof(bits) == sizeof(value));
     __builtin_memcpy(&bits, &value, sizeof(bits));
     bits_.store(bits, std::memory_order_relaxed);
+  }
+  /// Adds `delta` atomically (a CAS loop), so concurrent up/down counts
+  /// such as an in-flight gauge can never lose an update.
+  void Add(double delta) {
+    uint64_t bits = bits_.load(std::memory_order_relaxed);
+    for (;;) {
+      double value;
+      __builtin_memcpy(&value, &bits, sizeof(value));
+      value += delta;
+      uint64_t next;
+      __builtin_memcpy(&next, &value, sizeof(next));
+      if (bits_.compare_exchange_weak(bits, next, std::memory_order_relaxed)) {
+        return;
+      }
+    }
   }
   double Value() const {
     const uint64_t bits = bits_.load(std::memory_order_relaxed);

@@ -34,15 +34,15 @@ namespace hcd {
 ///
 /// `epoch` is the generation number: 0 for the state a build-phase
 /// HcdEngine publishes, incremented by one for every batch a LiveEngine
-/// applies. Results cached against a snapshot stay valid exactly as long
+/// applies. An answer computed on a snapshot stays valid exactly as long
 /// as the epoch matches.
 class SnapshotState {
  public:
   /// Builds a state from the finished serve-phase pieces (none may be
   /// null). The SearchIndex is constructed in place over them (recording
-  /// its "search.preprocess" / "search.primary_*" stages into `sink`), so
-  /// the four parts can never disagree about which generation they belong
-  /// to.
+  /// its "search.preprocess" / "search.primary_*" / "search.argmax_tables"
+  /// stages into `sink`), so the four parts can never disagree about which
+  /// generation they belong to.
   static std::shared_ptr<const SnapshotState> Create(
       std::shared_ptr<const Graph> graph,
       std::shared_ptr<const CoreDecomposition> cd,

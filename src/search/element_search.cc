@@ -52,18 +52,14 @@ ElementSearchIndex::ElementSearchIndex(std::shared_ptr<const FlatHcdIndex> flat,
   }
 
   const double arity = static_cast<double>(f.arity());
-  double best = -1.0;
   for (TreeNodeId t = 0; t < num_nodes; ++t) {
     const uint64_t verts = community_vertices_[t];
     density_[t] = verts == 0
                       ? 0.0
                       : arity * static_cast<double>(f.CoreSize(t)) /
                             static_cast<double>(verts);
-    if (density_[t] > best) {
-      best = density_[t];
-      densest_node_ = t;
-    }
   }
+  argmax_ = LevelArgmax(f, density_);
   stage.AddCounter("nodes", num_nodes);
   stage.AddCounter("elements", f.NumElements());
 }
@@ -78,23 +74,6 @@ ElementHit ElementSearchIndex::HitFor(TreeNodeId t) const {
   hit.vertices = community_vertices_[t];
   hit.score = density_[t];
   return hit;
-}
-
-ElementHit ElementSearchIndex::Densest() const { return HitFor(densest_node_); }
-
-ElementHit ElementSearchIndex::DensestAtLeast(uint32_t k) const {
-  if (k == 0) return Densest();
-  const FlatHcdIndex& f = *flat_;
-  TreeNodeId best = kInvalidNode;
-  double best_score = 0.0;
-  for (TreeNodeId t = 0; t < f.NumNodes(); ++t) {
-    if (f.Level(t) < k) continue;
-    if (best == kInvalidNode || density_[t] > best_score) {
-      best = t;
-      best_score = density_[t];
-    }
-  }
-  return HitFor(best);
 }
 
 ElementHit ElementSearchIndex::CommunityOf(TreeNodeId t, ElementWorkspace* ws,

@@ -6,6 +6,7 @@
 
 #include "common/telemetry.h"
 #include "hcd/flat_index.h"
+#include "search/search_index.h"
 
 namespace hcd {
 
@@ -37,7 +38,8 @@ struct ElementHit {
 ///     density(t) = arity * |elements(t)| / |vertices(t)|
 ///
 /// which for a truss community is exactly its average degree (2m/n), so
-/// DensestNode() reproduces DensestTruss bit-identically. The object is
+/// Densest() reproduces DensestTruss bit-identically, plus a LevelArgmax
+/// over the densities that answers DensestAtLeast. The object is
 /// deeply const after construction: any number of threads may run the
 /// query methods concurrently, each with its own ElementWorkspace — the
 /// QuerySnapshot-grade contract the socket server and query-bench rely on.
@@ -66,13 +68,14 @@ class ElementSearchIndex {
   /// Density of node t's community. O(1).
   double Density(TreeNodeId t) const { return density_[t]; }
 
-  /// The globally densest community. O(1): precomputed at construction
-  /// (first preorder node wins ties, matching the DensestAtLeast scan).
-  ElementHit Densest() const;
+  /// The globally densest community (first preorder node wins ties).
+  ElementHit Densest() const { return DensestAtLeast(0); }
 
-  /// The densest community among nodes of level >= k; k == 0 is Densest.
-  /// O(N) scan over the precomputed densities, first-node-wins ties.
-  ElementHit DensestAtLeast(uint32_t k) const;
+  /// The densest community among nodes of level >= k, first preorder node
+  /// winning ties. A lookup in the level table built at construction.
+  ElementHit DensestAtLeast(uint32_t k) const {
+    return HitFor(argmax_.AtLeast(k));
+  }
 
   /// Community of tree node t (its k-truss / k-nucleus): the element count
   /// is returned via the hit, and the distinct member vertices are
@@ -86,7 +89,7 @@ class ElementSearchIndex {
   std::shared_ptr<const FlatHcdIndex> flat_;
   std::vector<uint64_t> community_vertices_;  ///< per node, distinct
   std::vector<double> density_;               ///< per node
-  TreeNodeId densest_node_ = kInvalidNode;
+  LevelArgmax argmax_;                        ///< over density_
 };
 
 }  // namespace hcd

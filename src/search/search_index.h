@@ -1,6 +1,7 @@
 #ifndef HCD_SEARCH_SEARCH_INDEX_H_
 #define HCD_SEARCH_SEARCH_INDEX_H_
 
+#include <span>
 #include <vector>
 
 #include "common/telemetry.h"
@@ -13,6 +14,28 @@
 
 namespace hcd {
 
+/// Suffix-argmax table over the levels of a frozen index under one fixed
+/// per-node score: AtLeast(k) is the best node of level >= k, where a
+/// higher score wins and equal scores go to the lower node id — exactly
+/// the first-node-wins order of a scan over node ids keeping only strictly
+/// greater scores (scores must not be NaN). Built in O(N + G) by walking
+/// the level groups downwards. It is indexed by level group, not by k, so
+/// the level values of an untrusted snapshot cannot size it; a lookup is a
+/// binary search over the G group levels.
+class LevelArgmax {
+ public:
+  LevelArgmax() = default;
+  /// `scores` holds one score per node of `index`.
+  LevelArgmax(const FlatHcdIndex& index, std::span<const double> scores);
+
+  /// Best node of level >= k; kInvalidNode when no node reaches level k.
+  TreeNodeId AtLeast(uint32_t k) const;
+
+ private:
+  std::vector<uint32_t> levels_;  ///< [G] group levels, strictly descending
+  std::vector<TreeNodeId> best_;  ///< [G] best node of level >= levels_[g]
+};
+
 /// Build-phase product of PBKS (Section IV-D), replacing the old lazy
 /// SubgraphSearcher: the constructor runs the coreness-count preprocessing
 /// and *eagerly* computes both the type-A and the type-B primary values, so
@@ -23,8 +46,12 @@ namespace hcd {
 ///
 /// The constructor only reads its arguments; it keeps no references, so the
 /// index stays valid even if the graph is destroyed (scoring needs only the
-/// frozen FlatHcdIndex alongside it). With a sink, construction records the
-/// "search.preprocess", "search.primary_a" and "search.primary_b" stages.
+/// frozen FlatHcdIndex alongside it). The constructor also scores every node
+/// under every metric once and keeps one LevelArgmax per metric, so each
+/// argmax query ("best k-core of level >= k under M") is a table lookup.
+/// With a sink, construction records the "search.preprocess",
+/// "search.primary_a", "search.primary_b" and "search.argmax_tables"
+/// stages.
 class SearchIndex {
  public:
   SearchIndex(const Graph& graph, const CoreDecomposition& cd,
@@ -47,10 +74,22 @@ class SearchIndex {
     return IsTypeB(metric) ? type_b_ : type_a_;
   }
 
+  /// Score of `node` under `metric`, bit-identical to SearchInto's.
+  double Score(Metric metric, TreeNodeId node) const {
+    return EvaluateMetric(metric, PrimaryFor(metric)[node], globals_);
+  }
+
+  /// Best node of level >= k under `metric` (k == 0: SearchInto's best
+  /// node); kInvalidNode when no node reaches level k. O(log G).
+  TreeNodeId BestAtLeast(Metric metric, uint32_t k) const {
+    return argmax_[static_cast<size_t>(metric)].AtLeast(k);
+  }
+
  private:
   GraphGlobals globals_;
   std::vector<PrimaryValues> type_a_;
   std::vector<PrimaryValues> type_b_;
+  std::vector<LevelArgmax> argmax_;  ///< indexed by Metric value
 };
 
 /// Caller-owned scratch for the serve-phase scoring path. One workspace per

@@ -179,9 +179,6 @@ Status QueryClient::ReadQueryResponse(QueryResponse* response) {
       span.args.push_back({"status",
                            static_cast<uint64_t>(response->status), "",
                            false});
-      span.args.push_back(
-          {"cache_hit", response->cache_hit ? uint64_t{1} : uint64_t{0}, "",
-           false});
       tracer->RecordSpan(std::move(span));
     }
   }

@@ -1,6 +1,5 @@
 #include "server/protocol.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace hcd::server {
@@ -113,11 +112,10 @@ std::string EncodeStatsRequest() {
 
 std::string EncodeQueryResponse(const QueryResponse& response) {
   std::string out;
-  out.reserve(35 + 4 * response.vertices.size());
+  out.reserve(kQueryResponseHeaderBytes + 4 * response.vertices.size());
   AppendU8(&out, static_cast<uint8_t>(response.status));
   if (response.status != ResponseStatus::kOk) return out;
   AppendU64(&out, response.epoch);
-  AppendU8(&out, response.cache_hit ? 1 : 0);
   AppendU8(&out, response.found ? 1 : 0);
   AppendU32(&out, response.level);
   AppendU64(&out, response.core_size);
@@ -202,18 +200,15 @@ bool DecodeQueryResponse(std::string_view payload, QueryResponse* out) {
   }
   out->status = static_cast<ResponseStatus>(status);
   if (out->status != ResponseStatus::kOk) return reader.AtEnd();
-  uint8_t cache_hit = 0;
   uint8_t found = 0;
   uint64_t score_bits = 0;
   uint32_t num_vertices = 0;
-  if (!reader.ReadU64(&out->epoch) || !reader.ReadU8(&cache_hit) ||
-      !reader.ReadU8(&found) || !reader.ReadU32(&out->level) ||
+  if (!reader.ReadU64(&out->epoch) || !reader.ReadU8(&found) || !reader.ReadU32(&out->level) ||
       !reader.ReadU64(&out->core_size) || !reader.ReadU64(&score_bits) ||
       !reader.ReadU32(&num_vertices)) {
     return false;
   }
   if (reader.Rest().size() != size_t{num_vertices} * 4) return false;
-  out->cache_hit = cache_hit != 0;
   out->found = found != 0;
   out->score = DoubleFromBits(score_bits);
   out->vertices.resize(num_vertices);
@@ -239,19 +234,6 @@ bool DecodeMetricsResponse(std::string_view payload, ResponseStatus* status,
 void AppendFrame(std::string* out, std::string_view payload) {
   AppendU32(out, static_cast<uint32_t>(payload.size()));
   out->append(payload);
-}
-
-std::string CacheKeyFor(const QueryRequest& request) {
-  std::vector<VertexId> sorted(request.vertices);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  std::string key;
-  key.reserve(6 + 4 * sorted.size());
-  AppendU8(&key, static_cast<uint8_t>(request.metric));
-  AppendU8(&key, static_cast<uint8_t>(request.hierarchy));
-  AppendU32(&key, request.k);
-  for (const VertexId v : sorted) AppendU32(&key, v);
-  return key;
 }
 
 }  // namespace hcd::server

@@ -41,10 +41,9 @@ namespace hcd::server {
 /// at the vertex array and decodes with trace_id == 0, so old clients keep
 /// working against new servers; a version-2 frame carries exactly nine
 /// more bytes. Any other tail length (or a sampled byte > 1) is malformed.
-/// The trace id never enters the cache key — it names the request, not the
-/// question — and servers attach it to every span recorded for the
-/// request, so one Perfetto view lines up the client's and the server's
-/// lanes of the same query.
+/// Servers attach the trace id to every span recorded for the request, so
+/// one Perfetto view lines up the client's and the server's lanes of the
+/// same query.
 ///
 /// Query semantics for hierarchy == core: with an empty vertex set, the
 /// best-scoring k-core under `metric` over all tree nodes of level >= k
@@ -67,18 +66,18 @@ namespace hcd::server {
 ///   u8  status                  (ResponseStatus)
 ///   -- status == kOk, answering kQuery:
 ///   u64 epoch                   (snapshot generation that answered)
-///   u8  cache_hit
 ///   u8  found
 ///   u32 level                   (k of the answering core)
 ///   u64 core_size
 ///   u64 score_bits              (IEEE-754 double)
-///   u32 num_vertices            (<= requested max_return_vertices)
+///   u32 num_vertices            (<= requested max_return_vertices and
+///                                <= kMaxResponseVertices)
 ///   u32 vertices[num_vertices]
 ///   -- status == kOk, answering kMetrics:
 ///   the Prometheus text exposition, raw bytes to end of frame
 ///   -- status == kOk, answering kStats:
 ///   the server's live-stats JSON snapshot (rolling 1s/10s/60s windows of
-///   QPS, error/shed/cache-hit rates and per-phase latency quantiles, plus
+///   QPS, error/shed rates and per-phase latency quantiles, plus
 ///   lifetime totals), raw bytes to end of frame
 ///   -- status == kOverloaded / kBadRequest: nothing further; an
 ///   overloaded server sends this frame right after accept and closes.
@@ -99,6 +98,14 @@ enum class ResponseStatus : uint8_t {
 /// make a worker allocate unbounded memory.
 inline constexpr uint32_t kMaxPayloadBytes = 1u << 20;
 
+/// Bytes of a kOk query response before its vertex array (status through
+/// num_vertices), and the most vertices that still fit one frame: a
+/// server echoes at most this many core members whatever the request's
+/// max_return_vertices (core_size still reports the full size).
+inline constexpr uint32_t kQueryResponseHeaderBytes = 34;
+inline constexpr uint32_t kMaxResponseVertices =
+    (kMaxPayloadBytes - kQueryResponseHeaderBytes) / 4;
+
 struct QueryRequest {
   Metric metric = Metric::kAverageDegree;
   HierarchyKind hierarchy = HierarchyKind::kCore;
@@ -114,7 +121,6 @@ struct QueryRequest {
 struct QueryResponse {
   ResponseStatus status = ResponseStatus::kOk;
   uint64_t epoch = 0;
-  bool cache_hit = false;
   bool found = false;
   uint32_t level = 0;
   uint64_t core_size = 0;
@@ -146,14 +152,6 @@ bool DecodeMetricsResponse(std::string_view payload, ResponseStatus* status,
 
 /// Appends `payload` to `out` as one frame (length prefix + bytes).
 void AppendFrame(std::string* out, std::string_view payload);
-
-/// The canonical cache key of a query: metric, hierarchy, k and the
-/// sorted, deduplicated vertex set, packed as bytes. Two requests that
-/// must receive the same answer on one snapshot produce the same key
-/// regardless of vertex order or duplicates. The trace context is
-/// deliberately excluded — it identifies the request, not the question, so
-/// traced and untraced askers of the same query share a cache entry.
-std::string CacheKeyFor(const QueryRequest& request);
 
 }  // namespace hcd::server
 

@@ -73,7 +73,6 @@ const char* RegimeName(const QueryRequest& request, bool element_served) {
 /// Positions of the window-sample counters pushed by the stats ticker.
 enum WindowCounter {
   kWinRequests = 0,
-  kWinCacheHits,
   kWinBadRequests,
   kWinShed,
   kWinConnections,
@@ -166,47 +165,21 @@ bool WriteFrame(int fd, std::string_view payload) {
 }  // namespace
 
 QueryOutcome ExecuteQuery(const QuerySnapshot& snapshot,
-                          const QueryRequest& request, SearchWorkspace* ws) {
+                          const QueryRequest& request, SearchWorkspace*) {
   QueryOutcome out;
   out.epoch = snapshot.epoch();
   const FlatHcdIndex& flat = snapshot.flat();
   const SearchIndex& sidx = snapshot.search_index();
-  if (request.vertices.empty()) {
-    const SearchHit hit = SearchInto(flat, sidx, request.metric, ws);
-    if (request.k == 0) {
-      if (hit.best_node == kInvalidNode) return out;
-      out.found = true;
-      out.node = hit.best_node;
-      out.score = hit.best_score;
-    } else {
-      // Restrict the argmax to nodes of level >= k over the scores
-      // SearchInto just filled, keeping its first-node-wins tie order.
-      TreeNodeId best = kInvalidNode;
-      double best_score = 0.0;
-      for (TreeNodeId node = 0; node < flat.NumNodes(); ++node) {
-        if (flat.Level(node) < request.k) continue;
-        if (best == kInvalidNode || ws->scores[node] > best_score) {
-          best = node;
-          best_score = ws->scores[node];
-        }
-      }
-      if (best == kInvalidNode) return out;
-      out.found = true;
-      out.node = best;
-      out.score = best_score;
-    }
-  } else {
-    const TreeNodeId node =
-        NodeOfKCoreContainingAll(flat, request.vertices, request.k);
-    if (node == kInvalidNode) return out;
-    out.found = true;
-    out.node = node;
-    out.score = EvaluateMetric(request.metric,
-                               sidx.PrimaryFor(request.metric)[node],
-                               sidx.globals());
-  }
-  out.level = flat.Level(out.node);
-  out.core_size = flat.CoreSize(out.node);
+  const TreeNodeId node =
+      request.vertices.empty()
+          ? sidx.BestAtLeast(request.metric, request.k)
+          : NodeOfKCoreContainingAll(flat, request.vertices, request.k);
+  if (node == kInvalidNode) return out;
+  out.found = true;
+  out.node = node;
+  out.level = flat.Level(node);
+  out.core_size = flat.CoreSize(node);
+  out.score = sidx.Score(request.metric, node);
   return out;
 }
 
@@ -216,7 +189,7 @@ QueryOutcome ExecuteElementQuery(const ElementSearchIndex& index,
   out.epoch = epoch;
   ElementHit hit;
   if (request.vertices.empty()) {
-    hit = request.k == 0 ? index.Densest() : index.DensestAtLeast(request.k);
+    hit = index.DensestAtLeast(request.k);
   } else {
     // The ids are untrusted: NodeOfKCoreContaining rejects out-of-range
     // element ids, so a hostile request degrades to found = false.
@@ -242,7 +215,6 @@ const char* QueryServer::PhaseName(int phase) {
   switch (phase) {
     case kQueue: return "queue";
     case kDecode: return "decode";
-    case kCache: return "cache";
     case kSearch: return "search";
     case kEncode: return "encode";
     default: return "?";
@@ -255,9 +227,6 @@ QueryServer::QueryServer(const SnapshotManager* manager, ServerOptions options)
   if (options_.workers <= 0) options_.workers = HardwareThreads();
   if (options_.max_pending < 0) options_.max_pending = 0;
   if (options_.stats_tick_millis <= 0) options_.stats_tick_millis = 1000;
-  if (options_.cache) {
-    cache_ = std::make_unique<ResultCache>(options_.cache_options);
-  }
 }
 
 QueryServer::~QueryServer() { Stop(); }
@@ -273,9 +242,6 @@ Status QueryServer::Start() {
   if (MetricsRegistry* registry = MetricsRegistry::Current()) {
     instruments_.requests = registry->GetCounter(
         "hcd_server_requests_total", "Query requests answered by the server.");
-    instruments_.cache_hits = registry->GetCounter(
-        "hcd_server_cache_hits_total",
-        "Query requests answered from the epoch-keyed result cache.");
     instruments_.overload = registry->GetCounter(
         "hcd_server_overload_total",
         "Connections shed by admission control (pending queue full).");
@@ -438,8 +404,8 @@ void QueryServer::AcceptLoop() {
 
 void QueryServer::WorkerLoop() {
   // Worker-owned serve state, created once per worker lifetime: the
-  // epoch-cached snapshot reader, the reusable scoring workspaces and the
-  // timing scratch (instruments were already resolved at Start).
+  // epoch-cached snapshot reader, the element workspace and the timing
+  // scratch (instruments were already resolved at Start).
   WorkerContext ctx(*manager_);
   while (true) {
     PendingConn conn;
@@ -525,13 +491,9 @@ bool QueryServer::AnswerQuery(int fd, const QueryRequest& request,
                               WorkerContext* ctx, uint64_t t0, uint64_t t1,
                               Tracer* tracer) {
   inflight_.fetch_add(1, std::memory_order_relaxed);
-  if (instruments_.inflight != nullptr) {
-    instruments_.inflight->Set(
-        static_cast<double>(inflight_.load(std::memory_order_relaxed)));
-  }
+  if (instruments_.inflight != nullptr) instruments_.inflight->Add(1.0);
   // The generation this request is answered on is fixed here: a publish
-  // racing with the request leaves this query on its acquired snapshot,
-  // and the cache refuses to mix the two epochs.
+  // racing with the request leaves this query on its acquired snapshot.
   const QuerySnapshot snapshot = ctx->reader.Snapshot();
   const uint64_t epoch = snapshot.epoch();
   // Element requests route to the static element index when its kind
@@ -544,85 +506,64 @@ bool QueryServer::AnswerQuery(int fd, const QueryRequest& request,
           ? options_.element_index
           : nullptr;
 
-  CachedResult result;
-  bool hit = false;
-  std::string key;
-  if (cache_ != nullptr) {
-    key = CacheKeyFor(request);
-    hit = cache_->Lookup(epoch, key, &result);
-  }
-  const uint64_t t2 = StampNow(tracer);  // snapshot + cache resolved
-  if (!hit) {
-    QueryOutcome outcome;
-    if (request.hierarchy == HierarchyKind::kCore) {
-      outcome = ExecuteQuery(snapshot, request, &ctx->ws);
-    } else if (element_index != nullptr) {
-      outcome = ExecuteElementQuery(*element_index, request, epoch);
-    } else {
-      outcome.epoch = epoch;  // unserved kind: found stays false
-    }
-    result = {outcome.epoch, outcome.found, outcome.node,
-              outcome.level, outcome.core_size, outcome.score};
-    if (cache_ != nullptr) cache_->Insert(epoch, key, result);
+  QueryOutcome outcome;
+  if (request.hierarchy == HierarchyKind::kCore) {
+    outcome = ExecuteQuery(snapshot, request);
+  } else if (element_index != nullptr) {
+    outcome = ExecuteElementQuery(*element_index, request, epoch);
+  } else {
+    outcome.epoch = epoch;  // unserved kind: found stays false
   }
 
   QueryResponse response;
   response.status = ResponseStatus::kOk;
   response.epoch = epoch;
-  response.cache_hit = hit;
-  response.found = result.found;
-  response.level = result.level;
-  response.core_size = result.core_size;
-  response.score = result.score;
-  if (result.found && request.max_return_vertices > 0) {
+  response.found = outcome.found;
+  response.level = outcome.level;
+  response.core_size = outcome.core_size;
+  response.score = outcome.score;
+  // The echo is capped so the response always fits one frame.
+  const size_t echo =
+      std::min(request.max_return_vertices, kMaxResponseVertices);
+  if (outcome.found && echo > 0) {
     if (element_index != nullptr) {
       // Element communities echo their member graph vertices (sorted),
       // materialized per request into the worker's stamp workspace.
-      element_index->CommunityOf(result.node, &ctx->ews, &response.vertices);
-      if (response.vertices.size() > request.max_return_vertices) {
-        response.vertices.resize(request.max_return_vertices);
-      }
+      element_index->CommunityOf(outcome.node, &ctx->ews, &response.vertices);
+      if (response.vertices.size() > echo) response.vertices.resize(echo);
     } else {
-      // Node ids in the cache are valid exactly for `epoch`, which is the
-      // generation `snapshot` holds, so this span cannot dangle.
+      // The node id is valid for `snapshot`, which this frame holds, so
+      // the span cannot dangle.
       const std::span<const VertexId> members =
-          snapshot.CoreVertices(result.node);
-      const size_t count =
-          std::min<size_t>(request.max_return_vertices, members.size());
-      response.vertices.assign(members.begin(), members.begin() + count);
+          snapshot.CoreVertices(outcome.node);
+      response.vertices.assign(
+          members.begin(), members.begin() + std::min(echo, members.size()));
     }
   }
-  const uint64_t t3 = StampNow(tracer);  // scored + vertices materialized
+  const uint64_t t2 = StampNow(tracer);  // answered + vertices materialized
 
-  // The request/hit counters precede the response on the wire: a client
-  // that fetches metrics right after reading its last response must see
-  // every answered request counted (the CI smoke pins the exact total).
-  // The latency/phase recording stays after the write so it covers it.
+  // The request counter precedes the response on the wire: a client that
+  // fetches metrics right after reading its last response must see every
+  // answered request counted (the CI smoke pins the exact total). The
+  // latency/phase recording stays after the write so it covers it.
   const uint64_t seq = requests_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (response.cache_hit) cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  if (instruments_.requests != nullptr) {
-    instruments_.requests->Increment();
-    if (response.cache_hit) instruments_.cache_hits->Increment();
-  }
+  if (instruments_.requests != nullptr) instruments_.requests->Increment();
 
   const bool ok = WriteFrame(fd, EncodeQueryResponse(response));
-  const uint64_t t4 = StampNow(tracer);  // response on the wire
+  const uint64_t t3 = StampNow(tracer);  // response on the wire
 
-  const uint64_t stamps[5] = {t0, t1, t2, t3, t4};
+  const uint64_t stamps[4] = {t0, t1, t2, t3};
   RecordRequestObservability(request, response, ctx, seq, stamps, tracer);
 
   inflight_.fetch_sub(1, std::memory_order_relaxed);
-  if (instruments_.inflight != nullptr) {
-    instruments_.inflight->Set(
-        static_cast<double>(inflight_.load(std::memory_order_relaxed)));
-  }
+  if (instruments_.inflight != nullptr) instruments_.inflight->Add(-1.0);
   return ok;
 }
 
 void QueryServer::RecordRequestObservability(const QueryRequest& request,
                                              const QueryResponse& response,
                                              WorkerContext* ctx, uint64_t seq,
-                                             const uint64_t stamps[5],
+                                             const uint64_t stamps[4],
                                              Tracer* tracer) {
   RequestTimings& timings = ctx->timings;
   timings.ResetPhases();
@@ -630,15 +571,13 @@ void QueryServer::RecordRequestObservability(const QueryRequest& request,
   timings.sampled = request.sampled;
   timings.queue_ns = ctx->first_request ? ctx->conn_queue_ns : 0;
   timings.decode_ns = StampDelta(stamps[0], stamps[1]);
-  timings.cache_ns = StampDelta(stamps[1], stamps[2]);
-  timings.search_ns = StampDelta(stamps[2], stamps[3]);
-  timings.encode_ns = StampDelta(stamps[3], stamps[4]);
+  timings.search_ns = StampDelta(stamps[1], stamps[2]);
+  timings.encode_ns = StampDelta(stamps[2], stamps[3]);
 
   const double total_seconds = static_cast<double>(timings.TotalNs()) * 1e-9;
   const double phase_seconds[kNumPhases] = {
       static_cast<double>(timings.queue_ns) * 1e-9,
       static_cast<double>(timings.decode_ns) * 1e-9,
-      static_cast<double>(timings.cache_ns) * 1e-9,
       static_cast<double>(timings.search_ns) * 1e-9,
       static_cast<double>(timings.encode_ns) * 1e-9,
   };
@@ -673,19 +612,15 @@ void QueryServer::RecordRequestObservability(const QueryRequest& request,
       record("serve.queue", ctx->conn_enqueue_ns, ctx->conn_queue_ns);
     }
     record("serve.decode", stamps[0], timings.decode_ns);
-    record("serve.cache", stamps[1], timings.cache_ns);
-    record("serve.search", stamps[2], timings.search_ns);
-    record("serve.encode", stamps[3], timings.encode_ns);
+    record("serve.search", stamps[1], timings.search_ns);
+    record("serve.encode", stamps[2], timings.encode_ns);
     TraceSpan root;
     root.name = "serve.request";
     root.ts_ns = stamps[0];
-    root.dur_ns = StampDelta(stamps[0], stamps[4]);
+    root.dur_ns = StampDelta(stamps[0], stamps[3]);
     root.args.push_back({"trace_id", 0, trace_hex, true});
     root.args.push_back(
         {"sampled", timings.sampled ? uint64_t{1} : uint64_t{0}, "", false});
-    root.args.push_back(
-        {"cache_hit", response.cache_hit ? uint64_t{1} : uint64_t{0}, "",
-         false});
     root.args.push_back({"epoch", response.epoch, "", false});
     tracer->RecordSpan(std::move(root));
   }
@@ -708,7 +643,6 @@ void QueryServer::RecordRequestObservability(const QueryRequest& request,
       record.hierarchy = request.hierarchy;
       record.metric = request.metric;
       record.k = request.k;
-      record.cache_hit = response.cache_hit;
       record.found = response.found;
       record.overloaded = ctx->queue_depth > 0;
       record.epoch = response.epoch;
@@ -739,8 +673,6 @@ WindowSample QueryServer::CaptureSample() const {
   sample.at_seconds = static_cast<double>(SteadyNowNs()) * 1e-9;
   sample.counters.resize(kNumWindowCounters);
   sample.counters[kWinRequests] = requests_.load(std::memory_order_relaxed);
-  sample.counters[kWinCacheHits] =
-      cache_hits_.load(std::memory_order_relaxed);
   sample.counters[kWinBadRequests] =
       bad_requests_.load(std::memory_order_relaxed);
   sample.counters[kWinShed] = shed_.load(std::memory_order_relaxed);
@@ -810,8 +742,6 @@ std::string QueryServer::RenderStatsJson() const {
       std::max<int64_t>(0, inflight_.load(std::memory_order_relaxed)));
   out += ",\"totals\":{\"requests\":";
   out += std::to_string(totals.requests);
-  out += ",\"cache_hits\":";
-  out += std::to_string(totals.cache_hits);
   out += ",\"metrics_requests\":";
   out += std::to_string(totals.metrics_requests);
   out += ",\"stats_requests\":";
@@ -862,9 +792,6 @@ std::string QueryServer::RenderStatsJson() const {
     out += StatsDouble(
         static_cast<double>(shed) /
         static_cast<double>(std::max<uint64_t>(connections + shed, 1)));
-    out += ",\"cache_hit_rate\":";
-    out += StatsDouble(static_cast<double>(WinCounter(delta, kWinCacheHits)) /
-                       static_cast<double>(std::max<uint64_t>(requests, 1)));
     out += ",\"latency_us\":";
     out += QuantilesJson(WinHistogram(delta, 0));
     out += ",\"phases_us\":{";
@@ -896,7 +823,6 @@ std::string QueryServer::RenderStatsJson() const {
 ServerStats QueryServer::stats() const {
   ServerStats stats;
   stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   stats.metrics_requests = metrics_requests_.load(std::memory_order_relaxed);
   stats.stats_requests = stats_requests_.load(std::memory_order_relaxed);
   stats.bad_requests = bad_requests_.load(std::memory_order_relaxed);

@@ -19,7 +19,6 @@
 #include "search/element_search.h"
 #include "search/search_index.h"
 #include "server/protocol.h"
-#include "server/result_cache.h"
 #include "server/slow_log.h"
 
 namespace hcd::server {
@@ -38,33 +37,34 @@ struct QueryOutcome {
 /// Evaluates one protocol query against `snapshot`, the single scoring
 /// path the server, serve-bench's self mode and the soak tests share:
 ///
-///   - empty vertex set, k == 0: QuerySnapshot-equivalent global best
-///     (bit-identical to SearchInto on the same snapshot);
-///   - empty vertex set, k > 0: best-scoring node among those of level
-///     >= k (first such node wins ties, matching SearchInto's order);
+///   - empty vertex set: the best-scoring node among those of level >= k
+///     (k == 0: bit-identical to SearchInto on the same snapshot; ties go
+///     to the first node, matching SearchInto's order), looked up in the
+///     SearchIndex's per-metric level table;
 ///   - non-empty vertex set: the k-core containing all listed vertices
 ///     (NodeOfKCoreContainingAll ancestor walks), scored under the
 ///     requested metric in O(1) from the eager primary values.
 ///
 /// Reads only const snapshot state; any number of threads may call it
-/// concurrently, each with its own workspace.
+/// concurrently. The workspace is unused; the parameter stays because
+/// perfbench/hcd_perfbench.cc (Replay) calls the three-argument form.
 QueryOutcome ExecuteQuery(const QuerySnapshot& snapshot,
-                          const QueryRequest& request, SearchWorkspace* ws);
+                          const QueryRequest& request,
+                          SearchWorkspace* ws = nullptr);
 
 /// Evaluates one element-hierarchy query (request.hierarchy is truss or
-/// nucleus) against an ElementSearchIndex, mirroring ExecuteQuery's three
+/// nucleus) against an ElementSearchIndex, mirroring ExecuteQuery's two
 /// regimes with `request.vertices` carrying element ids:
 ///
-///   - empty ids, k == 0: the globally densest community (Densest);
-///   - empty ids, k > 0: the densest community of level >= k
-///     (DensestAtLeast, same first-node-wins tie order);
+///   - empty ids: the densest community of level >= k (DensestAtLeast;
+///     k == 0 is the globally densest, first-node-wins ties);
 ///   - non-empty ids: the community containing all listed elements
 ///     (NodeOfKCoreContainingAll ancestor walks over element ids), scored
 ///     by its precomputed density.
 ///
 /// Out-of-range element ids answer found = false. `epoch` stamps the
 /// outcome (the index is static; the server passes the current snapshot
-/// generation so the result cache keys uniformly). Reads only const index
+/// generation so every response carries one). Reads only const index
 /// state; safe for any number of concurrent callers.
 QueryOutcome ExecuteElementQuery(const ElementSearchIndex& index,
                                  const QueryRequest& request, uint64_t epoch);
@@ -75,22 +75,19 @@ struct ServerOptions {
   /// serving-stack testbed, not a hardened public front door.
   uint16_t port = 0;
   /// Fixed worker pool size; 0 = hardware threads. Each worker owns a
-  /// SnapshotReader, a reusable SearchWorkspace and pre-resolved
-  /// instruments, and serves one connection at a time to completion.
+  /// SnapshotReader and a reusable ElementWorkspace, and serves one
+  /// connection at a time to completion.
   int workers = 0;
   /// Admission control: accepted connections waiting for a worker beyond
   /// this bound are shed with a kOverloaded frame and closed.
   int max_pending = 64;
-  /// Serve results through the epoch-keyed ResultCache.
-  bool cache = true;
-  ResultCache::Options cache_options;
   /// Optional element-hierarchy index (truss or nucleus) served alongside
   /// the core snapshots; must outlive the server. Requests whose hierarchy
   /// byte matches its kind are answered by ExecuteElementQuery; element
   /// requests for any other kind (or when this is null) answer
   /// found = false without closing the connection, so one client can probe
-  /// what the server has loaded. The index is static across publishes —
-  /// its answers are cached under the current core-snapshot epoch.
+  /// what the server has loaded. The index is static across publishes;
+  /// its answers carry the current core-snapshot epoch.
   const ElementSearchIndex* element_index = nullptr;
   /// Slow-query logging: with a non-empty `slow_log_path`, a request whose
   /// total (queue wait + work) exceeds `slow_query_ms` milliseconds
@@ -114,7 +111,9 @@ struct ServerOptions {
 /// so tests and serve-bench's self mode can read them without a registry).
 struct ServerStats {
   uint64_t requests = 0;       ///< query requests answered
-  uint64_t cache_hits = 0;     ///< answered from the result cache
+  /// Always 0: there is no result cache. Kept because
+  /// perfbench/hcd_perfbench.cc reads it for server.cache_hit_ratio.
+  uint64_t cache_hits = 0;
   uint64_t metrics_requests = 0;
   uint64_t stats_requests = 0; ///< kStats snapshots served
   uint64_t bad_requests = 0;   ///< malformed frames (connection closed)
@@ -129,26 +128,25 @@ struct ServerStats {
 /// answered as soon as it is read, so a batch of requests costs one
 /// round trip). Publishing a new generation through the manager never
 /// blocks the server: workers pick up the new epoch on their next
-/// request via their SnapshotReader, in-flight queries finish on the
-/// generation they acquired, and the result cache invalidates itself
-/// wholesale per shard on first sight of the new epoch.
+/// request via their SnapshotReader, and in-flight queries finish on the
+/// generation they acquired. Every generation carries its own argmax
+/// tables (SearchIndex), so a publish leaves nothing to invalidate.
 ///
 /// With a MetricsRegistry installed, Start() resolves (once, never per
 /// request, and before any server thread exists so the registry can never
 /// drift from the plain-atomic ServerStats mirror): counters
-/// hcd_server_requests_total, hcd_server_cache_hits_total,
-/// hcd_server_overload_total, hcd_server_bad_requests_total,
+/// hcd_server_requests_total, hcd_server_overload_total, hcd_server_bad_requests_total,
 /// hcd_server_slow_log_dropped_total, hcd_trace_dropped_spans_total, the
 /// hcd_query_latency_seconds histogram family (one unlabeled series plus
 /// one {metric=...} child per metric), the per-phase
-/// hcd_server_phase_seconds{phase=queue|decode|cache|search|encode}
+/// hcd_server_phase_seconds{phase=queue|decode|search|encode}
 /// histograms, and the hcd_server_queue_depth / hcd_server_inflight
 /// gauges. The kMetrics endpoint serves the installed registry's
 /// Prometheus rendering.
 ///
 /// Request-scoped observability (docs/OBSERVABILITY.md "Request-scoped
 /// serving"): every query is timed with consecutive monotonic stamps so
-/// its decode/cache/search/encode phases sum exactly to its wall time
+/// its decode/search/encode phases sum exactly to its wall time
 /// (plus the connection's pending-queue wait, attributed to the first
 /// request). The per-phase histograms and an internal always-on mirror
 /// feed both the slow-query log and the kStats rolling windows; with a
@@ -181,20 +179,18 @@ class QueryServer {
   int workers() const { return static_cast<int>(workers_.size()); }
 
   ServerStats stats() const;
-  /// Null when ServerOptions::cache is false.
-  const ResultCache* cache() const { return cache_.get(); }
   /// Null unless ServerOptions::slow_log_path is set.
   const SlowQueryLog* slow_log() const { return slow_log_.get(); }
 
   /// The kStats JSON document: lifetime totals plus rolling 1/10/60-tick
-  /// windows of QPS, error/shed/cache-hit rates and per-phase latency
+  /// windows of QPS, error/shed rates and per-phase latency
   /// quantiles derived from windowed histogram deltas. Callable from any
   /// thread while the server runs (the wire kStats handler is exactly
   /// this).
   std::string RenderStatsJson() const;
 
   /// Request phases in wire/report order; indexes the phase histograms.
-  enum Phase { kQueue = 0, kDecode, kCache, kSearch, kEncode, kNumPhases };
+  enum Phase { kQueue = 0, kDecode, kSearch, kEncode, kNumPhases };
   static const char* PhaseName(int phase);
 
  private:
@@ -203,7 +199,6 @@ class QueryServer {
   /// value, phases by Phase).
   struct Instruments {
     Counter* requests = nullptr;
-    Counter* cache_hits = nullptr;
     Counter* overload = nullptr;
     Counter* bad_requests = nullptr;
     Counter* slow_log_dropped = nullptr;
@@ -228,7 +223,6 @@ class QueryServer {
     explicit WorkerContext(const SnapshotManager& manager)
         : reader(manager) {}
     SnapshotReader reader;
-    SearchWorkspace ws;
     ElementWorkspace ews;
     RequestTimings timings;
     uint64_t conn_enqueue_ns = 0;  ///< current connection's admission stamp
@@ -250,20 +244,19 @@ class QueryServer {
   bool AnswerQuery(int fd, const QueryRequest& request, WorkerContext* ctx,
                    uint64_t t0, uint64_t t1, Tracer* tracer);
   /// Post-response bookkeeping: phase histograms, spans, slow log. The
-  /// request/hit counters are incremented by the caller BEFORE the
-  /// response is written (so an exact count fetched over the wire never
-  /// under-reads); `seq` is that increment's 1-based sequence number,
-  /// which keys the deterministic slow-log sampling. `stamps` holds the
-  /// request's five consecutive clock stamps t0..t4 (frame read /
-  /// decoded / cache resolved / scored / response written).
+  /// request counter is incremented by the caller BEFORE the response is
+  /// written (so an exact count fetched over the wire never under-reads);
+  /// `seq` is that increment's 1-based sequence number, which keys the
+  /// deterministic slow-log sampling. `stamps` holds the request's four
+  /// consecutive clock stamps t0..t3 (frame read / decoded / answered /
+  /// response written).
   void RecordRequestObservability(const QueryRequest& request,
                                   const QueryResponse& response,
                                   WorkerContext* ctx, uint64_t seq,
-                                  const uint64_t stamps[5], Tracer* tracer);
+                                  const uint64_t stamps[4], Tracer* tracer);
 
   const SnapshotManager* manager_;
   ServerOptions options_;
-  std::unique_ptr<ResultCache> cache_;
   std::unique_ptr<SlowQueryLog> slow_log_;
   Instruments instruments_;
 
@@ -293,7 +286,6 @@ class QueryServer {
   uint64_t start_unix_ms_ = 0;     ///< wall-clock stamp of Start()
 
   std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> metrics_requests_{0};
   std::atomic<uint64_t> stats_requests_{0};
   std::atomic<uint64_t> bad_requests_{0};

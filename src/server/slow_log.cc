@@ -65,8 +65,6 @@ std::string FormatSlowLogRecord(const SlowLogRecord& record) {
   out += ',';
   AppendField(&out, "k", uint64_t{record.k});
   out += ',';
-  AppendField(&out, "cache_hit", record.cache_hit);
-  out += ',';
   AppendField(&out, "found", record.found);
   out += ',';
   AppendField(&out, "overloaded", record.overloaded);
@@ -80,8 +78,6 @@ std::string FormatSlowLogRecord(const SlowLogRecord& record) {
   AppendField(&out, "queue", t.queue_ns);
   out += ',';
   AppendField(&out, "decode", t.decode_ns);
-  out += ',';
-  AppendField(&out, "cache", t.cache_ns);
   out += ',';
   AppendField(&out, "search", t.search_ns);
   out += ',';

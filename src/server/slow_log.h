@@ -27,17 +27,16 @@ struct RequestTimings {
   bool sampled = false;
   uint64_t queue_ns = 0;
   uint64_t decode_ns = 0;
-  uint64_t cache_ns = 0;   ///< snapshot acquire + cache key + lookup
-  uint64_t search_ns = 0;  ///< scoring (or cache-hit materialization)
+  uint64_t search_ns = 0;  ///< snapshot acquire, lookup, member echo
   uint64_t encode_ns = 0;  ///< response encode + socket write
 
   uint64_t TotalNs() const {
-    return queue_ns + decode_ns + cache_ns + search_ns + encode_ns;
+    return queue_ns + decode_ns + search_ns + encode_ns;
   }
   void ResetPhases() {
     trace_id = 0;
     sampled = false;
-    queue_ns = decode_ns = cache_ns = search_ns = encode_ns = 0;
+    queue_ns = decode_ns = search_ns = encode_ns = 0;
   }
 };
 
@@ -50,7 +49,6 @@ struct SlowLogRecord {
   HierarchyKind hierarchy = HierarchyKind::kCore;
   Metric metric = Metric::kAverageDegree;
   uint32_t k = 0;
-  bool cache_hit = false;
   bool found = false;
   bool overloaded = false;  ///< pending queue was non-empty at dispatch
   uint64_t epoch = 0;

@@ -170,10 +170,12 @@ TEST_F(CliJsonTest, ServeBenchReportsServerStats) {
       "serve-bench");
   const JsonValue* result = doc.Find("result");
   ASSERT_NE(result, nullptr);
-  const JsonValue* hit_rate = result->Find("hit_rate");
-  ASSERT_NE(hit_rate, nullptr);
-  EXPECT_GE(hit_rate->number, 0.0);
-  EXPECT_LE(hit_rate->number, 1.0);
+  const JsonValue* queries = result->Find("queries");
+  ASSERT_NE(queries, nullptr);
+  EXPECT_EQ(queries->number, 80.0);
+  const JsonValue* qps = result->Find("qps");
+  ASSERT_NE(qps, nullptr);
+  EXPECT_GT(qps->number, 0.0);
   // Self-hosted mode reports the in-process server's counters inline.
   const JsonValue* server = result->Find("server");
   ASSERT_NE(server, nullptr);

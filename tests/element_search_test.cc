@@ -1,7 +1,7 @@
 // Freeze/serve equivalence for the element domains: the frozen truss and
 // nucleus paths (FreezeTruss/FreezeNucleus + ElementSearchIndex) must be
 // bit-identical to the builder-forest oracles on every suite graph, the
-// DensestAtLeast scan must match a naive reference, and the whole index
+// DensestAtLeast table must match a naive scan, and the whole index
 // must stay bit-stable under concurrent readers (the TSan job's target).
 
 #include "search/element_search.h"
@@ -151,17 +151,14 @@ TEST_P(ElementSearchSuite, TrussSearchIndexMatchesFrozenQueries) {
   }
 }
 
-TEST_P(ElementSearchSuite, DensestAtLeastMatchesNaiveScan) {
-  const Graph& g = GetParam().graph;
-  const TrussFixture fx = MakeTruss(g);
-  const ElementSearchIndex index(fx.flat);
-  const FlatHcdIndex& flat = *fx.flat;
-
-  uint32_t max_level = 0;
-  for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
-    max_level = std::max(max_level, flat.Level(t));
-  }
-  for (uint32_t k = 0; k <= max_level + 1; ++k) {
+/// DensestAtLeast (a level-table lookup) against the naive scan it
+/// replaced, for every k in [0, k_max + 1]: node id, level, element count
+/// and density bits.
+void ExpectDensestAtLeastMatchesNaiveScan(
+    std::shared_ptr<const FlatHcdIndex> flat_ptr) {
+  const ElementSearchIndex index(flat_ptr);
+  const FlatHcdIndex& flat = *flat_ptr;
+  for (uint32_t k = 0; k <= testing::MaxLevel(flat) + 1; ++k) {
     // Naive reference: best density among nodes of level >= k, first node
     // winning ties.
     TreeNodeId expect = kInvalidNode;
@@ -175,9 +172,18 @@ TEST_P(ElementSearchSuite, DensestAtLeastMatchesNaiveScan) {
     ASSERT_EQ(hit.found, expect != kInvalidNode) << "k=" << k;
     if (hit.found) {
       EXPECT_EQ(hit.node, expect) << "k=" << k;
-      EXPECT_EQ(hit.score, index.Density(expect)) << "k=" << k;
+      EXPECT_EQ(hit.level, flat.Level(expect)) << "k=" << k;
+      EXPECT_EQ(hit.elements, flat.CoreSize(expect)) << "k=" << k;
+      EXPECT_EQ(testing::Bits(hit.score), testing::Bits(index.Density(expect)))
+          << "k=" << k;
     }
   }
+}
+
+TEST_P(ElementSearchSuite, DensestAtLeastMatchesNaiveScan) {
+  const Graph& g = GetParam().graph;
+  ExpectDensestAtLeastMatchesNaiveScan(MakeTruss(g).flat);
+  ExpectDensestAtLeastMatchesNaiveScan(MakeNucleus(g).flat);
 }
 
 TEST_P(ElementSearchSuite, FrozenNucleusCommunityMatchesBuilderOracle) {

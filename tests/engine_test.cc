@@ -87,6 +87,7 @@ TEST(EngineTest, DecompositionRunsExactlyOnce) {
   EXPECT_EQ(t.CountStage("search.preprocess"), 1u);
   EXPECT_EQ(t.CountStage("search.primary_a"), 1u);
   EXPECT_EQ(t.CountStage("search.primary_b"), 1u);
+  EXPECT_EQ(t.CountStage("search.argmax_tables"), 1u);
   EXPECT_EQ(t.CountStage("search.score"), 3u);
 }
 

@@ -85,6 +85,39 @@ TEST(LiveEngine, ServesExactlyWhatAFreshBuildWould) {
   }
 }
 
+// Every published generation carries argmax tables of its own: on each
+// epoch, every (metric, k) table answer for k in [0, k_max + 1] equals the
+// level-filtered scan over that epoch's scores, bit for bit.
+TEST(LiveEngine, EveryEpochsArgmaxTablesMatchTheScan) {
+  LiveEngine live(RMatGraph500(9, 2500, 61));
+  Rng rng(62);
+  SearchWorkspace ws;
+  for (int round = 0; round < 4; ++round) {
+    const QuerySnapshot snap = live.Snapshot();
+    ASSERT_EQ(snap.epoch(), static_cast<uint64_t>(round));
+    const FlatHcdIndex& flat = snap.flat();
+    const SearchIndex& sidx = snap.search_index();
+    for (const Metric metric : kAllMetrics) {
+      SearchInto(flat, sidx, metric, &ws);
+      for (uint32_t k = 0; k <= testing::MaxLevel(flat) + 1; ++k) {
+        const TreeNodeId got = sidx.BestAtLeast(metric, k);
+        ASSERT_EQ(got, testing::ScanBestAtLeast(flat, ws.scores, k))
+            << "epoch " << snap.epoch() << " " << MetricName(metric)
+            << " k=" << k;
+        if (got != kInvalidNode) {
+          ASSERT_EQ(testing::Bits(sidx.Score(metric, got)),
+                    testing::Bits(ws.scores[got]));
+        }
+      }
+    }
+    BatchApplyReport report;
+    do {
+      ASSERT_TRUE(
+          live.ApplyBatch(ToggleBatch(live.dynamic(), rng, 40), &report).ok());
+    } while (!report.published);
+  }
+}
+
 TEST(LiveEngine, OldSnapshotsSurviveSwapsAndEngineDeath) {
   auto live = std::make_unique<LiveEngine>(ErdosRenyiGnm(120, 400, 21));
   const QuerySnapshot old_snap = live->Snapshot();

@@ -36,6 +36,27 @@ TEST(Gauge, LastWriteWins) {
   EXPECT_EQ(g.Value(), -1e300);
 }
 
+// The in-flight pattern: every thread adds +1 then -1 many times. A
+// load-then-Set gauge can end on a stale nonzero value; Add must not.
+TEST(Gauge, ConcurrentAddsReturnToZero) {
+  Gauge g;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20000;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&g] {
+      for (int r = 0; r < kRounds; ++r) {
+        g.Add(1.0);
+        g.Add(-1.0);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(g.Value(), 0.0);
+  g.Add(2.5);
+  EXPECT_EQ(g.Value(), 2.5);
+}
+
 TEST(Histogram, BucketBoundsArePowersOfTwoMicroseconds) {
   EXPECT_DOUBLE_EQ(Histogram::BucketBound(0), 1e-6);
   EXPECT_DOUBLE_EQ(Histogram::BucketBound(1), 2e-6);

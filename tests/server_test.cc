@@ -1,9 +1,9 @@
 // Tests of the socket query server stack (src/server): wire protocol
-// round-trips, the epoch-keyed result cache's invalidation rule, the
-// shared ExecuteQuery scoring path, and the server end to end over real
-// loopback sockets — including the concurrent soak the TSan CI job runs,
-// where serve workers answer through the cache while a writer publishes
-// new generations.
+// round-trips, the shared ExecuteQuery path (its table-served argmax
+// answers checked against the level-filtered scan), and the server end to
+// end over real loopback sockets — including the concurrent soak the TSan
+// CI job runs, where serve workers answer from each generation's tables
+// while a writer publishes new generations.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/trace.h"
+#include "engine/engine.h"
 #include "engine/live.h"
 #include "graph/generators.h"
 #include "hcd/query.h"
@@ -35,7 +36,6 @@
 #include "truss/truss_decomposition.h"
 #include "truss/truss_hierarchy.h"
 #include "server/protocol.h"
-#include "server/result_cache.h"
 #include "server/server.h"
 #include "server/slow_log.h"
 #include "tests/test_util.h"
@@ -43,6 +43,7 @@
 namespace hcd::server {
 namespace {
 
+using hcd::testing::Bits;
 using hcd::testing::JsonValue;
 using hcd::testing::ParseJson;
 
@@ -86,7 +87,6 @@ TEST(Protocol, QueryResponseRoundTripsScoreBitExactly) {
   QueryResponse response;
   response.status = ResponseStatus::kOk;
   response.epoch = 42;
-  response.cache_hit = true;
   response.found = true;
   response.level = 6;
   response.core_size = 123456789012345ull;
@@ -98,12 +98,21 @@ TEST(Protocol, QueryResponseRoundTripsScoreBitExactly) {
   ASSERT_TRUE(DecodeQueryResponse(payload, &decoded));
   EXPECT_EQ(decoded.status, ResponseStatus::kOk);
   EXPECT_EQ(decoded.epoch, response.epoch);
-  EXPECT_TRUE(decoded.cache_hit);
   EXPECT_TRUE(decoded.found);
   EXPECT_EQ(decoded.level, response.level);
   EXPECT_EQ(decoded.core_size, response.core_size);
   EXPECT_EQ(decoded.score, response.score);  // exact, not near
   EXPECT_EQ(decoded.vertices, response.vertices);
+}
+
+TEST(Protocol, ResponseHeaderSizeBoundsTheVertexEcho) {
+  QueryResponse response;
+  EXPECT_EQ(EncodeQueryResponse(response).size(), kQueryResponseHeaderBytes);
+  // A full echo is the largest response and still fits one frame.
+  response.vertices.assign(kMaxResponseVertices, 7);
+  EXPECT_LE(EncodeQueryResponse(response).size(), kMaxPayloadBytes);
+  response.vertices.push_back(7);
+  EXPECT_GT(EncodeQueryResponse(response).size(), kMaxPayloadBytes);
 }
 
 TEST(Protocol, StatusOnlyResponsesCarryNoBody) {
@@ -149,25 +158,6 @@ TEST(Protocol, DecodersRejectMalformedPayloads) {
   QueryResponse response_out;
   EXPECT_FALSE(DecodeQueryResponse("", &response_out));
   EXPECT_FALSE(DecodeQueryResponse("\x09", &response_out));  // bad status
-}
-
-TEST(Protocol, CacheKeyCanonicalizesVertexSets) {
-  QueryRequest a, b;
-  a.metric = b.metric = Metric::kModularity;
-  a.k = b.k = 2;
-  a.vertices = {7, 3, 3, 5};
-  b.vertices = {5, 7, 3};
-  // Same logical query -> same key, regardless of order and duplicates.
-  EXPECT_EQ(CacheKeyFor(a), CacheKeyFor(b));
-  // max_return_vertices deliberately does NOT key the cache: it only caps
-  // the echoed member list, not the answer.
-  b.max_return_vertices = 99;
-  EXPECT_EQ(CacheKeyFor(a), CacheKeyFor(b));
-  b.k = 3;
-  EXPECT_NE(CacheKeyFor(a), CacheKeyFor(b));
-  b.k = 2;
-  b.metric = Metric::kCutRatio;
-  EXPECT_NE(CacheKeyFor(a), CacheKeyFor(b));
 }
 
 TEST(Protocol, TraceContextRoundTripsAsAVersionTwoTail) {
@@ -216,18 +206,6 @@ TEST(Protocol, MalformedTraceTailsAreRejected) {
   EXPECT_FALSE(DecodeQueryRequest(bad_flag, &out));
 }
 
-TEST(Protocol, CacheKeyIgnoresTraceContext) {
-  QueryRequest plain, traced;
-  plain.metric = traced.metric = Metric::kModularity;
-  plain.k = traced.k = 1;
-  plain.vertices = traced.vertices = {2, 6};
-  traced.trace_id = 0x1234;
-  traced.sampled = true;
-  // The trace id names the request, not the question: traced and untraced
-  // askers of the same query must share a cache entry.
-  EXPECT_EQ(CacheKeyFor(plain), CacheKeyFor(traced));
-}
-
 TEST(Protocol, StatsRequestRoundTripsItsType) {
   const std::string payload = EncodeStatsRequest();
   MessageType type;
@@ -245,7 +223,6 @@ TEST(SlowLog, FormatsOneParseableRecordWithExactPhaseSum) {
   record.hierarchy = HierarchyKind::kTruss;
   record.metric = Metric::kConductance;
   record.k = 4;
-  record.cache_hit = true;
   record.found = true;
   record.overloaded = true;
   record.epoch = 9;
@@ -254,8 +231,7 @@ TEST(SlowLog, FormatsOneParseableRecordWithExactPhaseSum) {
   record.timings.sampled = true;
   record.timings.queue_ns = 1000;
   record.timings.decode_ns = 200;
-  record.timings.cache_ns = 300;
-  record.timings.search_ns = 4000;
+  record.timings.search_ns = 4300;
   record.timings.encode_ns = 500;
 
   const std::string line = FormatSlowLogRecord(record);
@@ -274,83 +250,11 @@ TEST(SlowLog, FormatsOneParseableRecordWithExactPhaseSum) {
   ASSERT_NE(phases, nullptr);
   const double sum = phases->Find("queue")->number +
                      phases->Find("decode")->number +
-                     phases->Find("cache")->number +
                      phases->Find("search")->number +
                      phases->Find("encode")->number;
   EXPECT_EQ(doc.Find("total_ns")->number, sum);
   EXPECT_EQ(doc.Find("total_ns")->number, 6000.0);
-}
-
-// --- result cache -----------------------------------------------------------
-
-CachedResult MakeResult(uint64_t epoch, double score) {
-  CachedResult result;
-  result.epoch = epoch;
-  result.found = true;
-  result.node = 1;
-  result.level = 2;
-  result.core_size = 3;
-  result.score = score;
-  return result;
-}
-
-TEST(ResultCacheTest, HitsOnlyAtTheInsertedEpoch) {
-  ResultCache cache;
-  cache.Insert(5, "key", MakeResult(5, 1.5));
-  CachedResult out;
-  ASSERT_TRUE(cache.Lookup(5, "key", &out));
-  EXPECT_EQ(out.epoch, 5u);
-  EXPECT_EQ(out.score, 1.5);
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(ResultCacheTest, NewerEpochFlushesWholesale) {
-  ResultCache::Options options;
-  options.shards = 1;  // all keys share one shard: the flush is observable
-  ResultCache cache(options);
-  cache.Insert(1, "a", MakeResult(1, 1.0));
-  cache.Insert(1, "b", MakeResult(1, 2.0));
-  EXPECT_EQ(cache.Size(), 2u);
-
-  // First lookup at epoch 2 drops everything resident from epoch 1.
-  CachedResult out;
-  EXPECT_FALSE(cache.Lookup(2, "a", &out));
-  EXPECT_EQ(cache.Size(), 0u);
-  EXPECT_EQ(cache.stats().epoch_flushes, 1u);
-  EXPECT_FALSE(cache.Lookup(2, "b", &out));
-}
-
-TEST(ResultCacheTest, DrainingEpochNeverSeesNewerEntries) {
-  ResultCache::Options options;
-  options.shards = 1;
-  ResultCache cache(options);
-  cache.Insert(2, "key", MakeResult(2, 9.0));
-  // A reader still finishing queries on epoch 1 must not be served the
-  // epoch-2 entry, and its own late insert must be dropped.
-  CachedResult out;
-  EXPECT_FALSE(cache.Lookup(1, "key", &out));
-  cache.Insert(1, "key", MakeResult(1, 7.0));
-  ASSERT_TRUE(cache.Lookup(2, "key", &out));
-  EXPECT_EQ(out.epoch, 2u);
-  EXPECT_EQ(out.score, 9.0);
-  EXPECT_EQ(cache.stats().stale_drops, 2u);
-}
-
-TEST(ResultCacheTest, BoundedShardsStopRetainingNewKeys) {
-  ResultCache::Options options;
-  options.shards = 1;
-  options.max_entries_per_shard = 2;
-  ResultCache cache(options);
-  cache.Insert(1, "a", MakeResult(1, 1.0));
-  cache.Insert(1, "b", MakeResult(1, 2.0));
-  cache.Insert(1, "c", MakeResult(1, 3.0));  // full: not retained
-  EXPECT_EQ(cache.Size(), 2u);
-  CachedResult out;
-  EXPECT_FALSE(cache.Lookup(1, "c", &out));
-  // Updating a resident key still works at capacity.
-  cache.Insert(1, "a", MakeResult(1, 4.0));
-  ASSERT_TRUE(cache.Lookup(1, "a", &out));
-  EXPECT_EQ(out.score, 4.0);
+  EXPECT_EQ(phases->Find("cache"), nullptr);
 }
 
 // --- ExecuteQuery -----------------------------------------------------------
@@ -363,11 +267,11 @@ class ExecuteQueryTest : public ::testing::Test {
 
 TEST_F(ExecuteQueryTest, GlobalBestMatchesSnapshotSearchBitExactly) {
   const QuerySnapshot snapshot = live_.Snapshot();
-  SearchWorkspace ws, expect_ws;
+  SearchWorkspace expect_ws;
   for (const Metric metric : kAllMetrics) {
     QueryRequest request;
     request.metric = metric;
-    const QueryOutcome outcome = ExecuteQuery(snapshot, request, &ws);
+    const QueryOutcome outcome = ExecuteQuery(snapshot, request);
     const SearchHit expect =
         SearchInto(snapshot.flat(), snapshot.search_index(), metric,
                    &expect_ws);
@@ -385,31 +289,20 @@ TEST_F(ExecuteQueryTest, LevelConstraintRestrictsTheArgmax) {
   QueryRequest request;
   request.metric = Metric::kInternalDensity;
   request.k = 2;
-  const QueryOutcome outcome = ExecuteQuery(snapshot, request, &ws);
+  const QueryOutcome outcome = ExecuteQuery(snapshot, request);
   ASSERT_TRUE(outcome.found);
   EXPECT_GE(outcome.level, 2u);
-  // Exhaustive check: best score among nodes of level >= k.
-  double best = 0.0;
-  bool any = false;
-  for (TreeNodeId node = 0; node < snapshot.flat().NumNodes(); ++node) {
-    if (snapshot.flat().Level(node) < 2) continue;
-    if (!any || ws.scores[node] > best) {
-      best = ws.scores[node];
-      any = true;
-    }
-  }
-  ASSERT_TRUE(any);
-  EXPECT_EQ(outcome.score, best);
+  SearchInto(snapshot.flat(), snapshot.search_index(), request.metric, &ws);
+  EXPECT_EQ(outcome.node,
+            testing::ScanBestAtLeast(snapshot.flat(), ws.scores, 2));
 
   // An impossible constraint reports not-found, never a wrong node.
   request.k = 1u << 20;
-  const QueryOutcome none = ExecuteQuery(snapshot, request, &ws);
-  EXPECT_FALSE(none.found);
+  EXPECT_FALSE(ExecuteQuery(snapshot, request).found);
 }
 
 TEST_F(ExecuteQueryTest, VertexQueriesMatchTheAncestorWalk) {
   const QuerySnapshot snapshot = live_.Snapshot();
-  SearchWorkspace ws;
   const FlatHcdIndex& flat = snapshot.flat();
   for (VertexId v = 0; v < 20; ++v) {
     const uint32_t k = hcd::CorenessOf(flat, v);
@@ -418,19 +311,74 @@ TEST_F(ExecuteQueryTest, VertexQueriesMatchTheAncestorWalk) {
     request.metric = Metric::kAverageDegree;
     request.k = k;
     request.vertices = {v};
-    const QueryOutcome outcome = ExecuteQuery(snapshot, request, &ws);
+    const QueryOutcome outcome = ExecuteQuery(snapshot, request);
     ASSERT_TRUE(outcome.found);
     EXPECT_EQ(outcome.node, hcd::NodeOfKCoreContaining(flat, v, k));
     EXPECT_GE(outcome.level, k);
     // Too deep for this vertex: not found.
     request.k = k + 1;
-    EXPECT_FALSE(ExecuteQuery(snapshot, request, &ws).found);
+    EXPECT_FALSE(ExecuteQuery(snapshot, request).found);
   }
+}
+
+// Differential test of the argmax tables: every (metric, k) answer of
+// ExecuteQuery, for every k in [0, k_max + 1] (levels with no node
+// included), equals the level-filtered scan over SearchInto's scores on
+// node id, level, core size and score bits.
+void ExpectArgmaxMatchesScan(const Graph& graph) {
+  HcdEngine engine(&graph);
+  const QuerySnapshot snapshot = engine.Snapshot();
+  const FlatHcdIndex& flat = snapshot.flat();
+  SearchWorkspace ws;
+  for (const Metric metric : kAllMetrics) {
+    SearchInto(flat, snapshot.search_index(), metric, &ws);
+    for (uint32_t k = 0; k <= testing::MaxLevel(flat) + 1; ++k) {
+      QueryRequest request;
+      request.metric = metric;
+      request.k = k;
+      const QueryOutcome got = ExecuteQuery(snapshot, request);
+      const TreeNodeId want = testing::ScanBestAtLeast(flat, ws.scores, k);
+      ASSERT_EQ(got.found, want != kInvalidNode)
+          << MetricName(metric) << " k=" << k;
+      if (!got.found) continue;
+      ASSERT_EQ(got.node, want) << MetricName(metric) << " k=" << k;
+      ASSERT_EQ(got.level, flat.Level(want));
+      ASSERT_EQ(got.core_size, flat.CoreSize(want));
+      ASSERT_EQ(Bits(got.score), Bits(ws.scores[want]))
+          << MetricName(metric) << " k=" << k;
+    }
+  }
+}
+
+class ArgmaxTableSuite
+    : public ::testing::TestWithParam<testing::GraphCase> {};
+
+TEST_P(ArgmaxTableSuite, EveryLevelMatchesTheScan) {
+  ExpectArgmaxMatchesScan(GetParam().graph);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllGraphs, ArgmaxTableSuite,
+    ::testing::ValuesIn(testing::StandardGraphSuite()),
+    [](const ::testing::TestParamInfo<testing::GraphCase>& info) {
+      return info.param.name;
+    });
+
+// A skewed RMAT graph: many level groups with gaps between their levels,
+// where a lookup for a k without nodes must fall through to the next
+// deeper group.
+TEST(ArgmaxTable, RmatLevelGapsMatchTheScan) {
+  const Graph graph = RMatGraph500(12, 60000, 91);
+  HcdEngine engine(&graph);
+  const FlatHcdIndex& flat = engine.Snapshot().flat();
+  ASSERT_LT(flat.NumLevelGroups(), testing::MaxLevel(flat))
+      << "the graph should leave some levels without a node";
+  ExpectArgmaxMatchesScan(graph);
 }
 
 // --- server end to end ------------------------------------------------------
 
-TEST(QueryServerTest, AnswersQueriesAndCachesRepeats) {
+TEST(QueryServerTest, AnswersRepeatedQueriesIdentically) {
   LiveEngine live(ErdosRenyiGnm(200, 800, 23));
   ServerOptions options;
   options.workers = 2;
@@ -446,8 +394,6 @@ TEST(QueryServerTest, AnswersQueriesAndCachesRepeats) {
   ASSERT_TRUE(client.Query(request, &first).ok());
   ASSERT_TRUE(client.Query(request, &second).ok());
   EXPECT_EQ(first.status, ResponseStatus::kOk);
-  EXPECT_FALSE(first.cache_hit);
-  EXPECT_TRUE(second.cache_hit);
   EXPECT_TRUE(first.found);
   EXPECT_EQ(first.epoch, live.Epoch());
   EXPECT_EQ(second.score, first.score);
@@ -457,8 +403,7 @@ TEST(QueryServerTest, AnswersQueriesAndCachesRepeats) {
   EXPECT_EQ(second.vertices, first.vertices);
 
   // The answer matches the library computed in-process, bit for bit.
-  SearchWorkspace ws;
-  const QueryOutcome expect = ExecuteQuery(live.Snapshot(), request, &ws);
+  const QueryOutcome expect = ExecuteQuery(live.Snapshot(), request);
   EXPECT_EQ(first.score, expect.score);
   EXPECT_EQ(first.level, expect.level);
   EXPECT_EQ(first.core_size, expect.core_size);
@@ -466,7 +411,6 @@ TEST(QueryServerTest, AnswersQueriesAndCachesRepeats) {
   server.Stop();
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.connections, 1u);
 }
 
@@ -513,10 +457,9 @@ TEST(QueryServerTest, ServesElementHierarchyAlongsideCore) {
   if (expect_vertices.size() > 8) expect_vertices.resize(8);
   EXPECT_EQ(response.vertices, expect_vertices);
 
-  // Repeats hit the cache under the same epoch.
+  // Repeats answer identically under the same epoch.
   QueryResponse repeat;
   ASSERT_TRUE(client.Query(request, &repeat).ok());
-  EXPECT_TRUE(repeat.cache_hit);
   EXPECT_EQ(repeat.score, response.score);
 
   // Regime 2: level-constrained densest.
@@ -574,15 +517,46 @@ TEST(QueryServerTest, PipelinedRequestsAnswerInOrder) {
     requests[i].metric = kAllMetrics[i % std::size(kAllMetrics)];
     ASSERT_TRUE(client.SendQuery(requests[i]).ok());
   }
-  SearchWorkspace ws;
   const QuerySnapshot snapshot = live.Snapshot();
   for (int i = 0; i < kBatch; ++i) {
     QueryResponse response;
     ASSERT_TRUE(client.ReadQueryResponse(&response).ok());
     ASSERT_EQ(response.status, ResponseStatus::kOk);
-    const QueryOutcome expect = ExecuteQuery(snapshot, requests[i], &ws);
+    const QueryOutcome expect = ExecuteQuery(snapshot, requests[i]);
     EXPECT_EQ(response.score, expect.score) << "response " << i;
   }
+}
+
+// A core too big to echo whole: a 300k-vertex cycle is one 2-core whose
+// member list would overflow the 1 MiB frame. The echo is clamped to
+// kMaxResponseVertices, core_size still reports the full core, and the
+// connection survives for the next request.
+TEST(QueryServerTest, HugeCoreEchoIsClampedToOneFrame) {
+  constexpr VertexId kRing = 300000;
+  LiveEngine live(CycleGraph(kRing));
+  QueryServer server(&live.manager(), ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  QueryClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  QueryRequest request;
+  request.max_return_vertices = UINT32_MAX;
+  QueryResponse response;
+  ASSERT_TRUE(client.Query(request, &response).ok());
+  ASSERT_EQ(response.status, ResponseStatus::kOk);
+  ASSERT_TRUE(response.found);
+  EXPECT_EQ(response.core_size, kRing);
+  EXPECT_EQ(response.vertices.size(), kMaxResponseVertices);
+  const QuerySnapshot snapshot = live.Snapshot();
+  const std::span<const VertexId> members =
+      snapshot.CoreVertices(ExecuteQuery(snapshot, request).node);
+  EXPECT_TRUE(std::equal(response.vertices.begin(), response.vertices.end(),
+                         members.begin()));
+
+  request.max_return_vertices = 3;
+  ASSERT_TRUE(client.Query(request, &response).ok());
+  EXPECT_EQ(response.vertices.size(), 3u);
+  server.Stop();
 }
 
 // Sends one raw frame (the QueryClient only writes well-formed ones) and
@@ -721,7 +695,6 @@ TEST(QueryServerTest, ServesMetricsAndResolvesInstrumentsOnce) {
     ASSERT_TRUE(client.FetchMetrics(&text).ok());
     EXPECT_NE(text.find("hcd_server_requests_total 50"), std::string::npos)
         << text;
-    EXPECT_NE(text.find("hcd_server_cache_hits_total"), std::string::npos);
     EXPECT_NE(text.find("hcd_query_latency_seconds_bucket"),
               std::string::npos);
     server.Stop();
@@ -730,40 +703,12 @@ TEST(QueryServerTest, ServesMetricsAndResolvesInstrumentsOnce) {
   registry.Uninstall();
 }
 
-TEST(QueryServerTest, CacheDropsWholesaleWhenTheEpochMoves) {
-  LiveEngine live(ErdosRenyiGnm(200, 700, 43));
-  QueryServer server(&live.manager(), ServerOptions{});
-  ASSERT_TRUE(server.Start().ok());
-  QueryClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-
-  QueryRequest request;
-  request.metric = Metric::kAverageDegree;
-  QueryResponse warm, after;
-  ASSERT_TRUE(client.Query(request, &warm).ok());
-  ASSERT_TRUE(client.Query(request, &warm).ok());
-  EXPECT_TRUE(warm.cache_hit);
-  EXPECT_EQ(warm.epoch, 0u);
-
-  Rng rng(44);
-  ASSERT_TRUE(live.ApplyBatch(ToggleBatch(live.dynamic(), rng, 25), nullptr)
-                  .ok());
-  ASSERT_TRUE(client.Query(request, &after).ok());
-  // The first query on the new generation recomputes: no stale answer.
-  EXPECT_FALSE(after.cache_hit);
-  EXPECT_EQ(after.epoch, 1u);
-  SearchWorkspace ws;
-  const QueryOutcome expect = ExecuteQuery(live.Snapshot(), request, &ws);
-  EXPECT_EQ(after.score, expect.score);
-  server.Stop();
-}
-
-// The TSan soak: serve workers answer a mixed workload through the cache
-// over loopback sockets while the writer keeps publishing generations.
-// Every response must match an uncached ExecuteQuery against a snapshot
-// of the SAME epoch the response claims — i.e. no stale-epoch result is
-// ever served across a handover.
-TEST(QueryServerTest, SoakCachedServingStaysConsistentAcrossHandover) {
+// The TSan soak: serve workers answer a mixed workload from each
+// generation's argmax tables over loopback sockets while the writer keeps
+// publishing generations. Every response must match the level-filtered
+// scan over a snapshot of the SAME epoch the response claims — i.e. no
+// answer of one generation is ever served under another's epoch.
+TEST(QueryServerTest, SoakTableServingStaysConsistentAcrossHandover) {
   LiveEngine live(ErdosRenyiGnm(200, 700, 47));
   ServerOptions options;
   options.workers = 2;
@@ -802,15 +747,16 @@ TEST(QueryServerTest, SoakCachedServingStaysConsistentAcrossHandover) {
         QuerySnapshot snap = reader.Snapshot();
         if (snap.epoch() < response.epoch) snap = reader.Snapshot();
         if (snap.epoch() == response.epoch) {
-          const QueryOutcome expect = ExecuteQuery(snap, request, &ws);
-          ASSERT_EQ(response.found, expect.found);
-          if (expect.found) {
-            // Bit-identical to the uncached computation on that epoch.
-            ASSERT_EQ(response.score, expect.score)
-                << "stale or wrong cached result at epoch "
-                << response.epoch;
-            ASSERT_EQ(response.level, expect.level);
-            ASSERT_EQ(response.core_size, expect.core_size);
+          SearchInto(snap.flat(), snap.search_index(), request.metric, &ws);
+          const TreeNodeId expect =
+              testing::ScanBestAtLeast(snap.flat(), ws.scores, request.k);
+          ASSERT_EQ(response.found, expect != kInvalidNode);
+          if (response.found) {
+            // Bit-identical to the scan on that epoch.
+            ASSERT_EQ(Bits(response.score), Bits(ws.scores[expect]))
+                << "stale or wrong table answer at epoch " << response.epoch;
+            ASSERT_EQ(response.level, snap.flat().Level(expect));
+            ASSERT_EQ(response.core_size, snap.flat().CoreSize(expect));
           }
         }
         served.fetch_add(1, std::memory_order_relaxed);
@@ -820,10 +766,10 @@ TEST(QueryServerTest, SoakCachedServingStaysConsistentAcrossHandover) {
 
   Rng rng(48);
   uint64_t published = 0;
-  while (published < 5) {  // >= 5 handovers under active cached serving
-    // Let each generation actually serve (and warm the cache) before the
-    // next handover; otherwise all five publishes can land before the
-    // client threads issue their first query.
+  while (published < 5) {  // >= 5 handovers under active serving
+    // Let each generation actually serve before the next handover;
+    // otherwise all five publishes can land before the client threads
+    // issue their first query.
     const uint64_t target = served.load() + 60;
     for (int spin = 0; spin < 5000 && served.load() < target; ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -840,9 +786,6 @@ TEST(QueryServerTest, SoakCachedServingStaysConsistentAcrossHandover) {
   EXPECT_GT(served.load(), 0u);
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests, served.load());
-  // The workload repeats (metric, k) pairs, so the warm generations serve
-  // plenty of hits even though each handover drops the cache.
-  EXPECT_GT(stats.cache_hits, 0u);
   EXPECT_EQ(stats.bad_requests, 0u);
 }
 
@@ -882,7 +825,6 @@ TEST(QueryServerTest, StatsJsonMatchesTheAlwaysOnHistograms) {
     const JsonValue* totals = doc.Find("server")->Find("totals");
     ASSERT_NE(totals, nullptr);
     EXPECT_EQ(totals->Find("requests")->number, kRequests);
-    EXPECT_GT(totals->Find("cache_hits")->number, 0.0);
     EXPECT_EQ(totals->Find("bad_requests")->number, 0.0);
     EXPECT_EQ(totals->Find("connections")->number, 1.0);
 
@@ -902,8 +844,7 @@ TEST(QueryServerTest, StatsJsonMatchesTheAlwaysOnHistograms) {
     // Every phase histogram saw every request, and the per-phase p99s are
     // rendered from the registry-mirrored data too.
     const JsonValue* phases = total->Find("phases_us");
-    for (const char* phase :
-         {"queue", "decode", "cache", "search", "encode"}) {
+    for (const char* phase : {"queue", "decode", "search", "encode"}) {
       ASSERT_NE(phases->Find(phase), nullptr) << phase;
       EXPECT_EQ(phases->Find(phase)->Find("count")->number, kRequests)
           << phase;
@@ -987,7 +928,6 @@ TEST(QueryServerTest, SlowLogRecordsEveryRequestWithExactPhaseSums) {
     ASSERT_NE(phases, nullptr);
     const double sum = phases->Find("queue")->number +
                        phases->Find("decode")->number +
-                       phases->Find("cache")->number +
                        phases->Find("search")->number +
                        phases->Find("encode")->number;
     EXPECT_EQ(doc.Find("total_ns")->number, sum) << line;
@@ -1028,8 +968,8 @@ TEST(QueryServerTest, TraceSpansPairClientAndServerByTraceId) {
     int phase_spans = 0;
     for (const TraceSpanRecord& record : tracer.CollectSpans()) {
       const std::string& name = record.span.name;
-      if (name == "serve.decode" || name == "serve.cache" ||
-          name == "serve.search" || name == "serve.encode") {
+      if (name == "serve.decode" || name == "serve.search" ||
+          name == "serve.encode") {
         ++phase_spans;
         ASSERT_FALSE(record.span.args.empty());
         EXPECT_EQ(record.span.args[0].key, "trace_id");
@@ -1050,7 +990,7 @@ TEST(QueryServerTest, TraceSpansPairClientAndServerByTraceId) {
       EXPECT_TRUE(sampled_seen) << name;
       (name == "client.query" ? client_ids : server_ids).push_back(id);
     }
-    EXPECT_EQ(phase_spans, 4 * kRequests);
+    EXPECT_EQ(phase_spans, 3 * kRequests);
     ASSERT_EQ(client_ids.size(), static_cast<size_t>(kRequests));
   }
   tracer.Uninstall();
@@ -1078,8 +1018,8 @@ TEST(QueryServerTest, RegistryCountersMirrorServerStatsExactly) {
     QueryServer server(&live.manager(), options);
     ASSERT_TRUE(server.Start().ok());
 
-    // Answered queries (one miss, one hit), then a clean close so the one
-    // worker frees up for the malformed frame.
+    // Two answered queries, then a clean close so the one worker frees up
+    // for the malformed frame.
     {
       QueryClient client;
       ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
@@ -1087,7 +1027,6 @@ TEST(QueryServerTest, RegistryCountersMirrorServerStatsExactly) {
       QueryResponse response;
       ASSERT_TRUE(client.Query(request, &response).ok());
       ASSERT_TRUE(client.Query(request, &response).ok());
-      EXPECT_TRUE(response.cache_hit);
     }
     EXPECT_EQ(RawFrameStatus(server.port(), "\x63" "bogus"),
               static_cast<int>(ResponseStatus::kBadRequest));
@@ -1098,7 +1037,7 @@ TEST(QueryServerTest, RegistryCountersMirrorServerStatsExactly) {
     QueryClient busy;
     ASSERT_TRUE(busy.Connect("127.0.0.1", server.port()).ok());
     QueryRequest request;
-    request.metric = Metric::kConductance;  // distinct key: a cache miss
+    request.metric = Metric::kConductance;
     QueryResponse response;
     ASSERT_TRUE(busy.Query(request, &response).ok());
     QueryClient parked_a, parked_b;
@@ -1120,13 +1059,10 @@ TEST(QueryServerTest, RegistryCountersMirrorServerStatsExactly) {
 
     const ServerStats stats = server.stats();
     EXPECT_EQ(stats.requests, 3u);
-    EXPECT_EQ(stats.cache_hits, 1u);
     EXPECT_EQ(stats.bad_requests, 1u);
     EXPECT_EQ(stats.shed, 2u);
     EXPECT_EQ(registry.GetCounter("hcd_server_requests_total")->Value(),
               stats.requests);
-    EXPECT_EQ(registry.GetCounter("hcd_server_cache_hits_total")->Value(),
-              stats.cache_hits);
     EXPECT_EQ(registry.GetCounter("hcd_server_bad_requests_total")->Value(),
               stats.bad_requests);
     EXPECT_EQ(registry.GetCounter("hcd_server_overload_total")->Value(),
@@ -1134,6 +1070,8 @@ TEST(QueryServerTest, RegistryCountersMirrorServerStatsExactly) {
     EXPECT_EQ(
         registry.GetHistogram("hcd_query_latency_seconds")->TotalCount(),
         stats.requests);
+    // Every answered request left the in-flight gauge where it found it.
+    EXPECT_EQ(registry.GetGauge("hcd_server_inflight")->Value(), 0.0);
   }
   registry.Uninstall();
 }

@@ -1,7 +1,10 @@
 #ifndef HCD_TESTS_TEST_UTIL_H_
 #define HCD_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,6 +12,7 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "hcd/flat_index.h"
 
 namespace hcd::testing {
 
@@ -249,6 +253,31 @@ inline std::vector<GraphCase> StandardGraphSuite() {
     cases.push_back({"mixture", std::move(b).Build(13)});
   }
   return cases;
+}
+
+/// Reference for the level argmax tables: the level-filtered scan the
+/// server ran per query before them. Best score among nodes of level >= k,
+/// the first node id winning ties; kInvalidNode when no node reaches k.
+inline TreeNodeId ScanBestAtLeast(const FlatHcdIndex& flat,
+                                  std::span<const double> scores, uint32_t k) {
+  TreeNodeId best = kInvalidNode;
+  for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
+    if (flat.Level(t) < k) continue;
+    if (best == kInvalidNode || scores[t] > scores[best]) best = t;
+  }
+  return best;
+}
+
+/// Highest node level of `flat` (0 when it has no nodes).
+inline uint32_t MaxLevel(const FlatHcdIndex& flat) {
+  return flat.NumLevelGroups() == 0 ? 0 : flat.Level(flat.LevelGroup(0)[0]);
+}
+
+/// IEEE-754 bit pattern, for score comparisons that must be bit-exact.
+inline uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
 }
 
 /// Seeds for randomized property sweeps.

@@ -32,8 +32,7 @@
 // serve runs the socket front door (src/server) over the graph until
 // SIGINT/SIGTERM; serve-bench drives it from --connections loopback
 // clients — against an in-process server (positional graph) or an
-// external one (--connect) — and reports sustained QPS, tail latency and
-// the result-cache hit rate.
+// external one (--connect) — and reports sustained QPS and tail latency.
 //
 // <graph> is loaded as binary when the path ends in ".bin", else as an
 // edge-list text file.
@@ -137,7 +136,6 @@ int Usage() {
       "                           hardware threads)\n"
       "  --max-pending=N          pending connections beyond the idle\n"
       "                           workers before shedding (default 64)\n"
-      "  --no-cache               disable the epoch-keyed result cache\n"
       "flags (serve):\n"
       "  --slow-log=FILE          append a JSONL slow-query log to FILE\n"
       "  --slow-query-ms=MS       log requests whose total latency exceeds\n"
@@ -157,10 +155,8 @@ int Usage() {
       "  --connections=N          concurrent client connections (default 4)\n"
       "  --server-phase-report    fetch the server's phase-attributed\n"
       "                           latency stats after the run and print\n"
-      "                           queue/decode/cache/search/encode\n"
+      "                           queue/decode/search/encode\n"
       "                           attribution next to the client tail\n"
-      "  --distinct-k=N           distinct k values in the workload\n"
-      "                           (default 4; smaller = more cache hits)\n"
       "  --pipeline=N             in-flight queries per connection\n"
       "                           (default 1 = latency-faithful; deeper\n"
       "                           windows measure sustained throughput)\n"
@@ -238,9 +234,7 @@ struct CliArgs {
   int connections = 4;
   int server_workers = 0;   ///< 0: hardware threads
   int max_pending = 64;
-  int distinct_k = 4;
   int pipeline = 1;  ///< in-flight queries per serve-bench connection
-  bool no_cache = false;
   std::string server_metrics_out;
   std::string server_flag;
   // --connect targets an external server; valid for serve-bench (drive it)
@@ -561,19 +555,6 @@ bool ParseCliArgs(int argc, char** argv, int from, CliArgs* out) {
       }
       out->max_pending = static_cast<int>(pending);
       if (out->server_flag.empty()) out->server_flag = arg;
-    } else if (arg.rfind("--distinct-k=", 0) == 0) {
-      const std::string value = arg.substr(13);
-      char* end = nullptr;
-      const long distinct = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || distinct <= 0) {
-        std::fprintf(stderr,
-                     "error: bad --distinct-k value '%s' (want a positive "
-                     "integer)\n",
-                     value.c_str());
-        return false;
-      }
-      out->distinct_k = static_cast<int>(distinct);
-      if (out->server_flag.empty()) out->server_flag = arg;
     } else if (arg.rfind("--pipeline=", 0) == 0) {
       const std::string value = arg.substr(11);
       char* end = nullptr;
@@ -605,9 +586,6 @@ bool ParseCliArgs(int argc, char** argv, int from, CliArgs* out) {
       }
       out->snapshot_mode_set = true;
       if (out->snapshot_flag.empty()) out->snapshot_flag = arg;
-    } else if (arg == "--no-cache") {
-      out->no_cache = true;
-      if (out->server_flag.empty()) out->server_flag = arg;
     } else if (arg.rfind("--server-metrics-out=", 0) == 0) {
       out->server_metrics_out = arg.substr(21);
       if (out->server_metrics_out.empty()) {
@@ -1409,6 +1387,20 @@ void PrintQuantileRow(const std::string& json, const char* name,
               JsonNumberOr(json, "count", from, 0.0));
 }
 
+/// The lifetime latency row and one row per request phase from the kStats
+/// JSON's "total" object, under a column header.
+void PrintPhaseTable(const std::string& json) {
+  const size_t total_pos = json.find("\"total\":{");
+  std::printf("  %-8s %10s %10s %10s %10s %12s\n", "phase", "mean", "p50",
+              "p95", "p99", "count");
+  PrintQuantileRow(json, "latency", json.find("\"latency_us\":", total_pos));
+  const size_t phases_pos = json.find("\"phases_us\":{", total_pos);
+  for (const char* phase : {"queue", "decode", "search", "encode"}) {
+    const std::string needle = std::string("\"") + phase + "\":{";
+    PrintQuantileRow(json, phase, json.find(needle, phases_pos));
+  }
+}
+
 /// Renders the kStats JSON as the human `stats --connect` view: server
 /// line, totals line, one row per rolling window, and the lifetime phase
 /// attribution table.
@@ -1421,17 +1413,16 @@ void PrintServerStatsJson(const std::string& json) {
               JsonNumberOr(json, "queue_depth", 0, 0.0),
               JsonNumberOr(json, "inflight", 0, 0.0));
   const size_t totals_pos = json.find("\"totals\":{");
-  std::printf("totals: %.0f requests, %.0f cache hits, %.0f bad, %.0f shed, "
+  std::printf("totals: %.0f requests, %.0f bad, %.0f shed, "
               "%.0f connections, slow log %.0f written / %.0f dropped\n",
               JsonNumberOr(json, "requests", totals_pos, 0.0),
-              JsonNumberOr(json, "cache_hits", totals_pos, 0.0),
               JsonNumberOr(json, "bad_requests", totals_pos, 0.0),
               JsonNumberOr(json, "shed", totals_pos, 0.0),
               JsonNumberOr(json, "connections", totals_pos, 0.0),
               JsonNumberOr(json, "slow_log_written", totals_pos, 0.0),
               JsonNumberOr(json, "slow_log_dropped", totals_pos, 0.0));
-  std::printf("  %-8s %10s %8s %8s %10s %10s %10s\n", "window", "qps",
-              "hit%", "err%", "p50_us", "p95_us", "p99_us");
+  std::printf("  %-8s %10s %8s %10s %10s %10s\n", "window", "qps", "err%",
+              "p50_us", "p95_us", "p99_us");
   size_t pos = json.find("\"windows\":[");
   while (pos != std::string::npos) {
     const size_t label_pos = json.find("\"label\":\"", pos + 1);
@@ -1442,26 +1433,17 @@ void PrintServerStatsJson(const std::string& json) {
     const std::string label =
         json.substr(label_start, label_end - label_start);
     const size_t latency_pos = json.find("\"latency_us\":", label_pos);
-    std::printf("  %-8s %10.0f %8.1f %8.2f %10.1f %10.1f %10.1f\n",
+    std::printf("  %-8s %10.0f %8.2f %10.1f %10.1f %10.1f\n",
                 label.c_str(), JsonNumberOr(json, "qps", label_pos, 0.0),
-                JsonNumberOr(json, "cache_hit_rate", label_pos, 0.0) * 100.0,
                 JsonNumberOr(json, "error_rate", label_pos, 0.0) * 100.0,
                 JsonNumberOr(json, "p50_us", latency_pos, 0.0),
                 JsonNumberOr(json, "p95_us", latency_pos, 0.0),
                 JsonNumberOr(json, "p99_us", latency_pos, 0.0));
     pos = label_end;
   }
-  const size_t total_pos = json.find("\"total\":{");
-  if (total_pos == std::string::npos) return;
+  if (json.find("\"total\":{") == std::string::npos) return;
   std::printf("lifetime phase attribution (us):\n");
-  std::printf("  %-8s %10s %10s %10s %10s %12s\n", "phase", "mean", "p50",
-              "p95", "p99", "count");
-  PrintQuantileRow(json, "latency", json.find("\"latency_us\":", total_pos));
-  const size_t phases_pos = json.find("\"phases_us\":{", total_pos);
-  for (const char* phase : {"queue", "decode", "cache", "search", "encode"}) {
-    const std::string needle = std::string("\"") + phase + "\":{";
-    PrintQuantileRow(json, phase, json.find(needle, phases_pos));
-  }
+  PrintPhaseTable(json);
 }
 
 /// `stats --connect=HOST:PORT [--watch=N]`: fetches a running server's
@@ -1568,7 +1550,6 @@ int CmdServe(const CliArgs& args) {
   options.port = static_cast<uint16_t>(args.port);
   options.workers = args.server_workers;
   options.max_pending = args.max_pending;
-  options.cache = !args.no_cache;
   if (args.slow_query_ms >= 0.0 && args.slow_log_path.empty()) {
     return Fail(Status::InvalidArgument(
         "--slow-query-ms needs --slow-log=FILE to write the records to"));
@@ -1593,9 +1574,9 @@ int CmdServe(const CliArgs& args) {
   if (!args.slow_log_path.empty()) {
     hierarchy_note += ", slow log " + args.slow_log_path;
   }
-  std::printf("serving %s on 127.0.0.1:%u (%d workers, cache %s%s)\n",
+  std::printf("serving %s on 127.0.0.1:%u (%d workers%s)\n",
               args.pos[0].c_str(), server.port(), server.workers(),
-              options.cache ? "on" : "off", hierarchy_note.c_str());
+              hierarchy_note.c_str());
   std::fflush(stdout);
 
   g_serve_stop.store(false);
@@ -1620,13 +1601,12 @@ int CmdServe(const CliArgs& args) {
     }
     std::printf(
         "{\"command\":\"serve\",\"port\":%u,\"workers\":%d,"
-        "\"result\":{\"requests\":%llu,\"cache_hits\":%llu,"
+        "\"result\":{\"requests\":%llu,"
         "\"metrics_requests\":%llu,\"stats_requests\":%llu,"
         "\"bad_requests\":%llu,\"shed\":%llu,"
         "\"connections\":%llu%s}}\n",
         server.port(), server.workers(),
         static_cast<unsigned long long>(stats.requests),
-        static_cast<unsigned long long>(stats.cache_hits),
         static_cast<unsigned long long>(stats.metrics_requests),
         static_cast<unsigned long long>(stats.stats_requests),
         static_cast<unsigned long long>(stats.bad_requests),
@@ -1635,10 +1615,9 @@ int CmdServe(const CliArgs& args) {
         slow_extra.c_str());
     return 0;
   }
-  std::printf("served %llu queries (%llu cache hits) over %llu connections; "
+  std::printf("served %llu queries over %llu connections; "
               "%llu shed, %llu bad\n",
               static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.cache_hits),
               static_cast<unsigned long long>(stats.connections),
               static_cast<unsigned long long>(stats.shed),
               static_cast<unsigned long long>(stats.bad_requests));
@@ -1652,10 +1631,9 @@ int CmdServe(const CliArgs& args) {
 
 /// Drives a query server from --connections loopback clients — an
 /// in-process one over the positional graph, or an external one named by
-/// --connect — and reports sustained QPS, nearest-rank tail latency and
-/// the result-cache hit rate. The workload cycles through the metric mix
-/// and --distinct-k k values, so every (metric, k) pair repeats and a
-/// warm cache answers most requests.
+/// --connect — and reports sustained QPS and nearest-rank tail latency.
+/// The workload cycles through the metric mix and kServeBenchLevels k
+/// values.
 int CmdServeBench(const CliArgs& args) {
   const bool self_hosted = args.connect_port < 0;
   if (self_hosted && args.pos.size() != 1) return Usage();
@@ -1682,7 +1660,6 @@ int CmdServeBench(const CliArgs& args) {
     // Self mode drives exactly --connections clients; make sure admission
     // control never sheds the bench's own load.
     options.max_pending = std::max(args.max_pending, args.connections);
-    options.cache = !args.no_cache;
     server.emplace(&live->manager(), options);
     s = server->Start();
     if (!s.ok()) return Fail(s);
@@ -1698,14 +1675,10 @@ int CmdServeBench(const CliArgs& args) {
   }
   const int connections = args.connections;
   const int queries = args.queries;
-  const uint32_t distinct_k = static_cast<uint32_t>(args.distinct_k);
-
-  // Connection c serves query ids c, c+connections, ...; the key of query
-  // q is (metric q mod |mix|, k (q / |mix|) mod distinct_k), so the
-  // distinct-key count is |mix| * distinct_k and everything beyond the
-  // first cycle repeats — the cache-hit half of the acceptance test.
+  // Connection c serves query ids c, c+connections, ...; query q asks
+  // metric q mod |mix| at k = (q / |mix|) mod kServeBenchLevels.
+  constexpr uint32_t kServeBenchLevels = 4;
   std::vector<hcd::bench::LatencyRecorder> recorders(connections);
-  std::vector<uint64_t> hit_counts(connections, 0);
   std::vector<Status> worker_status(connections, Status::Ok());
   hcd::Timer timer;
   std::vector<std::thread> pool;
@@ -1737,7 +1710,8 @@ int CmdServeBench(const CliArgs& args) {
           const int q = ids[sent];
           const size_t mi = static_cast<size_t>(q) % workload.size();
           request.metric = workload[mi];
-          request.k = static_cast<uint32_t>(q / workload.size()) % distinct_k;
+          request.k =
+              static_cast<uint32_t>(q / workload.size()) % kServeBenchLevels;
           in_flight[sent % window] = hcd::Timer();
           s = client.SendQuery(request);
           if (!s.ok()) {
@@ -1753,7 +1727,6 @@ int CmdServeBench(const CliArgs& args) {
           return;
         }
         recorders[c].Record(in_flight[received % window].Seconds());
-        if (response.cache_hit) ++hit_counts[c];
         ++received;
       }
     });
@@ -1765,18 +1738,11 @@ int CmdServeBench(const CliArgs& args) {
   }
 
   hcd::bench::LatencyRecorder latencies;
-  uint64_t hits = 0;
-  for (int c = 0; c < connections; ++c) {
-    latencies.Merge(recorders[c]);
-    hits += hit_counts[c];
-  }
+  for (int c = 0; c < connections; ++c) latencies.Merge(recorders[c]);
   const uint64_t served = latencies.Count();
   // Guarded ratios: a degenerate run (zero wall, zero requests) must
   // report 0, never `inf`/`nan`.
   const double qps = hcd::FiniteOrZero(static_cast<double>(served) / wall);
-  const double hit_rate =
-      hcd::FiniteOrZero(static_cast<double>(hits) /
-                        static_cast<double>(served));
 
   if (!args.server_metrics_out.empty()) {
     hcd::server::QueryClient client;
@@ -1789,7 +1755,7 @@ int CmdServeBench(const CliArgs& args) {
   }
 
   // --server-phase-report: one kStats fetch after the run, so the
-  // server-side queue/decode/cache/search/encode attribution can be read
+  // server-side queue/decode/search/encode attribution can be read
   // next to the client-observed tail.
   std::string server_stats_json;
   if (args.server_phase_report) {
@@ -1802,7 +1768,6 @@ int CmdServeBench(const CliArgs& args) {
   hcd::bench::ReportBaseline(
       "serve_bench", dataset, connections, wall,
       {{"qps", qps},
-       {"hit_rate", hit_rate},
        {"queries", static_cast<double>(served)},
        {"pipeline", static_cast<double>(args.pipeline)},
        {"p99_us", latencies.P99() * 1e6}});
@@ -1814,10 +1779,9 @@ int CmdServeBench(const CliArgs& args) {
       char buf[192];
       std::snprintf(buf, sizeof(buf),
                     ",\"server\":{\"workers\":%d,\"requests\":%llu,"
-                    "\"cache_hits\":%llu,\"shed\":%llu}",
+                    "\"shed\":%llu}",
                     server->workers(),
                     static_cast<unsigned long long>(stats.requests),
-                    static_cast<unsigned long long>(stats.cache_hits),
                     static_cast<unsigned long long>(stats.shed));
       server_extra = buf;
     }
@@ -1826,43 +1790,26 @@ int CmdServeBench(const CliArgs& args) {
     }
     std::printf(
         "{\"command\":\"serve-bench\",\"connections\":%d,\"pipeline\":%d,"
-        "\"result\":{\"queries\":%llu,\"qps\":%.1f,\"hit_rate\":%.4f,"
-        "\"cache_hits\":%llu,\"latency_us\":{\"p50\":%.1f,\"p95\":%.1f,"
-        "\"p99\":%.1f}%s}}\n",
+        "\"result\":{\"queries\":%llu,\"qps\":%.1f,"
+        "\"latency_us\":{\"p50\":%.1f,\"p95\":%.1f,\"p99\":%.1f}%s}}\n",
         connections, args.pipeline,
-        static_cast<unsigned long long>(served), qps, hit_rate,
-        static_cast<unsigned long long>(hits), latencies.P50() * 1e6,
+        static_cast<unsigned long long>(served), qps, latencies.P50() * 1e6,
         latencies.P95() * 1e6, latencies.P99() * 1e6, server_extra.c_str());
     return 0;
   }
   std::printf("served %llu queries over %d connections "
               "(%zu-metric mix, k<%u, pipeline %d)\n",
               static_cast<unsigned long long>(served), connections,
-              workload.size(), distinct_k, args.pipeline);
+              workload.size(), kServeBenchLevels, args.pipeline);
   std::printf("QPS   %.0f\n", qps);
   std::printf("p50   %.1f us\n", latencies.P50() * 1e6);
   std::printf("p95   %.1f us\n", latencies.P95() * 1e6);
   std::printf("p99   %.1f us\n", latencies.P99() * 1e6);
-  std::printf("cache hit rate %.1f%% (%llu/%llu)\n", hit_rate * 100.0,
-              static_cast<unsigned long long>(hits),
-              static_cast<unsigned long long>(served));
   if (!server_stats_json.empty()) {
-    const size_t total_pos = server_stats_json.find("\"total\":{");
     std::printf("server phase attribution (lifetime, us; client p99 was "
                 "%.1f us including the wire):\n",
                 latencies.P99() * 1e6);
-    std::printf("  %-8s %10s %10s %10s %10s %12s\n", "phase", "mean", "p50",
-                "p95", "p99", "count");
-    PrintQuantileRow(server_stats_json, "latency",
-                     server_stats_json.find("\"latency_us\":", total_pos));
-    const size_t phases_pos =
-        server_stats_json.find("\"phases_us\":{", total_pos);
-    for (const char* phase :
-         {"queue", "decode", "cache", "search", "encode"}) {
-      const std::string needle = std::string("\"") + phase + "\":{";
-      PrintQuantileRow(server_stats_json, phase,
-                       server_stats_json.find(needle, phases_pos));
-    }
+    PrintPhaseTable(server_stats_json);
   }
   return 0;
 }
