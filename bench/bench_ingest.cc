@@ -73,9 +73,9 @@ Run TimeIngest(const char* format, const std::string& path, int threads,
   Run run{format, threads, 0.0, ""};
   for (int r = 0; r < reps; ++r) {
     hcd::StageTelemetry telemetry;
+    hcd::StageTelemetryBinding bind(&telemetry);
     hcd::IngestOptions options;
     options.io_threads = threads;
-    options.sink = &telemetry;
     hcd::Graph g;
     hcd::Timer timer;
     const hcd::Status s =

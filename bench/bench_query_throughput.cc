@@ -71,7 +71,7 @@ int main() {
               "p99 (us)");
 
   for (auto& ds : hcd::bench::LoadBenchSuite()) {
-    hcd::HcdEngine engine(&ds.graph, {.telemetry = false});
+    hcd::HcdEngine engine(&ds.graph);
     const hcd::QuerySnapshot snapshot = engine.Snapshot();
     double base_qps = 0.0;
     for (int workers : hcd::bench::ThreadSweep()) {

@@ -20,8 +20,9 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 /// from any number of threads.
 class Counter {
  public:
-  void Increment(uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+  /// Adds `delta` and returns the value after this increment.
+  uint64_t Increment(uint64_t delta = 1) {
+    return value_.fetch_add(delta, std::memory_order_relaxed) + delta;
   }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 

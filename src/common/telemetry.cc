@@ -48,7 +48,7 @@ void ScopedStage::Finish() {
           ->Increment(c.value);
     }
   }
-  if (sink_ != nullptr) sink_->RecordStage(record_);
+  if (telemetry_ != nullptr) telemetry_->RecordStage(record_);
 }
 
 double StageTelemetry::TotalSeconds() const {

@@ -2,7 +2,6 @@
 #define HCD_COMMON_TELEMETRY_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,30 +27,12 @@ struct StageRecord {
   std::vector<StageCounter> counters;
 };
 
-/// Receiver for per-stage telemetry. Library entry points take an optional
-/// `TelemetrySink*` defaulted to null; passing null keeps the call free of
-/// any instrumentation cost beyond a pointer test.
-///
-/// Thread-safety contract: build-phase stages (load, decomposition,
-/// construction, search index building) are reported from the orchestrating
-/// thread — never from inside a parallel region — so a plain sink such as
-/// `StageTelemetry` suffices there. Serve-phase stages (`search.score` from
-/// `QuerySnapshot::Search`) may be reported by many query threads at once;
-/// those callers must hand the library a thread-safe sink — wrap any plain
-/// sink in `ConcurrentTelemetrySink` below.
-class TelemetrySink {
+/// Accumulates stage records in order and renders them as a
+/// machine-readable JSON report (used by `hcd_cli --json`). Stages reach it
+/// through a StageTelemetryBinding on the recording thread.
+class StageTelemetry {
  public:
-  virtual ~TelemetrySink() = default;
-  virtual void RecordStage(const StageRecord& record) = 0;
-};
-
-/// Concrete sink that accumulates stage records in order and can render
-/// them as a machine-readable JSON report (used by `hcd_cli --json`).
-class StageTelemetry : public TelemetrySink {
- public:
-  void RecordStage(const StageRecord& record) override {
-    records_.push_back(record);
-  }
+  void RecordStage(const StageRecord& record) { records_.push_back(record); }
 
   const std::vector<StageRecord>& records() const { return records_; }
 
@@ -77,41 +58,50 @@ class StageTelemetry : public TelemetrySink {
   std::vector<StageRecord> records_;
 };
 
-/// Thread-safe decorator: serializes RecordStage calls onto an inner sink
-/// with a mutex, making any single-threaded sink usable from concurrent
-/// query threads. Record order across threads is the mutex acquisition
-/// order (per-stage counts and totals are exact; inter-thread ordering is
-/// not meaningful). The inner sink must outlive the decorator, and must not
-/// be written through any other path while the decorator is in use.
-class ConcurrentTelemetrySink : public TelemetrySink {
+/// RAII binding of a StageTelemetry to the calling thread: while it lives,
+/// every ScopedStage finished on this thread also lands in `telemetry`.
+/// Bindings nest; the destructor restores whatever was bound before, so a
+/// scope may re-bind the telemetry that is already bound.
+///
+/// The binding is per thread by design. Build-phase stages (load,
+/// decomposition, construction, search index building) finish on the
+/// orchestrating thread, never inside a parallel region, so a binding on
+/// that thread sees every one of them; engines driven from different
+/// threads record side by side without sharing anything.
+class StageTelemetryBinding {
  public:
-  explicit ConcurrentTelemetrySink(TelemetrySink* inner) : inner_(inner) {}
-
-  void RecordStage(const StageRecord& record) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_->RecordStage(record);
+  explicit StageTelemetryBinding(StageTelemetry* telemetry)
+      : previous_(bound_) {
+    bound_ = telemetry;
   }
+  ~StageTelemetryBinding() { bound_ = previous_; }
+
+  StageTelemetryBinding(const StageTelemetryBinding&) = delete;
+  StageTelemetryBinding& operator=(const StageTelemetryBinding&) = delete;
+
+  /// The telemetry bound to the calling thread, or null.
+  static StageTelemetry* Current() { return bound_; }
 
  private:
-  std::mutex mu_;
-  TelemetrySink* inner_;
+  static inline thread_local StageTelemetry* bound_ = nullptr;
+  StageTelemetry* previous_;
 };
 
-/// RAII stage timer: starts on construction and reports the stage to the
-/// sink on destruction.
-///
-/// The stage also bridges into the process-wide observability layer when
-/// one is installed: with a Tracer::Current() it records a span (counters
-/// become span args), and with a MetricsRegistry::Current() it observes the
-/// stage's wall time in the `hcd_stage_seconds{stage=...}` histogram family
-/// and bumps `hcd_stage_runs_total` / `hcd_stage_counter_total`. With a
-/// null sink and neither installed, every operation reduces to pointer
-/// tests (two relaxed atomic loads at construction) — no clock read, no
-/// allocation — which is how un-instrumented library calls stay free.
+/// RAII stage timer: starts on construction and, on destruction, reports
+/// the stage to whichever of three receivers are present:
+///   - the StageTelemetry bound to the calling thread gets a StageRecord;
+///   - Tracer::Current() gets a span (counters become span args);
+///   - MetricsRegistry::Current() observes the wall time in the
+///     `hcd_stage_seconds{stage=...}` histogram family and bumps
+///     `hcd_stage_runs_total` / `hcd_stage_counter_total`.
+/// With none of them, every operation reduces to pointer tests (one
+/// thread-local and two relaxed atomic loads at construction) — no clock
+/// read, no allocation — which is how un-instrumented library calls stay
+/// free.
 class ScopedStage {
  public:
-  ScopedStage(TelemetrySink* sink, std::string stage)
-      : sink_(sink),
+  explicit ScopedStage(std::string stage)
+      : telemetry_(StageTelemetryBinding::Current()),
         tracer_(Tracer::Current()),
         registry_(MetricsRegistry::Current()) {
     if (!Active()) return;
@@ -133,14 +123,14 @@ class ScopedStage {
 
  private:
   bool Active() const {
-    return sink_ != nullptr || tracer_ != nullptr || registry_ != nullptr;
+    return telemetry_ != nullptr || tracer_ != nullptr || registry_ != nullptr;
   }
 
-  /// Out-of-line slow path: reports to the sink, the tracer and the metrics
-  /// registry (whichever are present).
+  /// Out-of-line slow path: reports to the bound telemetry, the tracer and
+  /// the metrics registry (whichever are present).
   void Finish();
 
-  TelemetrySink* sink_;
+  StageTelemetry* telemetry_;
   Tracer* tracer_;
   MetricsRegistry* registry_;
   StageRecord record_;

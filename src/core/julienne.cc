@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -76,45 +75,6 @@ CoreDecomposition JulienneCoreDecomposition(const Graph& graph) {
         mine.clear();
       }
     }
-  }
-  return cd;
-}
-
-CoreDecomposition ApproxCoreDecomposition(const Graph& graph, double delta) {
-  HCD_CHECK_GT(delta, 0.0);
-  const VertexId n = graph.NumVertices();
-  CoreDecomposition cd;
-  cd.coreness.assign(n, 0);
-  if (n == 0) return cd;
-
-  std::vector<VertexId> deg(n);
-  VertexId remaining = n;
-  for (VertexId v = 0; v < n; ++v) deg[v] = graph.Degree(v);
-  std::vector<bool> alive(n, true);
-  std::vector<VertexId> queue;
-
-  uint32_t level = 0;      // estimate assigned to this round's strips
-  uint32_t threshold = 1;  // strip everything below the T-core
-  while (remaining > 0) {
-    for (VertexId v = 0; v < n; ++v) {
-      if (alive[v] && deg[v] < threshold) queue.push_back(v);
-    }
-    while (!queue.empty()) {
-      const VertexId v = queue.back();
-      queue.pop_back();
-      if (!alive[v]) continue;
-      alive[v] = false;
-      --remaining;
-      cd.coreness[v] = level;
-      cd.k_max = std::max(cd.k_max, level);
-      for (VertexId u : graph.Neighbors(v)) {
-        if (alive[u] && deg[u]-- == threshold) queue.push_back(u);
-      }
-    }
-    level = threshold;
-    threshold = std::max<uint32_t>(
-        threshold + 1,
-        static_cast<uint32_t>(std::ceil(threshold * (1.0 + delta))));
   }
   return cd;
 }

@@ -15,15 +15,6 @@ namespace hcd {
 /// instead of O(n * k_max) scanning, which wins when k_max is large.
 CoreDecomposition JulienneCoreDecomposition(const Graph& graph);
 
-/// Approximate core decomposition in the spirit of the paper's reference
-/// [25] (Liu et al.'s (2+delta) scheme), simplified to geometric peeling:
-/// thresholds grow by a factor (1 + delta), and each round strips the
-/// complement of the T-core, assigning the previous threshold as the
-/// estimate. The reported value c~(v) satisfies
-///     c~(v) <= c(v) < (1 + delta) * c~(v) + 1,
-/// using only O(log_{1+delta} k_max) peeling rounds instead of k_max.
-CoreDecomposition ApproxCoreDecomposition(const Graph& graph, double delta);
-
 }  // namespace hcd
 
 #endif  // HCD_CORE_JULIENNE_H_

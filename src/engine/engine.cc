@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/timer.h"
 #include "graph/ingest.h"
 #include "hcd/lcps.h"
 #include "hcd/naive_hcd.h"
@@ -54,66 +53,65 @@ HcdEngine::HcdEngine(const Graph* graph, EngineOptions options)
 
 Status HcdEngine::Load(const std::string& path, const EngineOptions& options,
                        std::unique_ptr<HcdEngine>* out) {
-  Timer timer;
+  // The engine does not exist until the graph does, so the load stages
+  // land in a local telemetry that becomes the engine's.
+  StageTelemetry telemetry;
   Graph graph;
-  // Ingest sub-stages land in a staging sink (the engine does not exist
-  // yet) and are replayed into the engine's telemetry after construction.
-  StageTelemetry ingest_stages;
-  IngestOptions ingest_options;
-  ingest_options.io_threads =
-      options.io_threads > 0 ? options.io_threads : options.threads;
-  ingest_options.sink = options.telemetry ? &ingest_stages : nullptr;
-  IngestStats ingest_stats;
-  Status s = HasSuffix(path, ".bin")
-                 ? IngestBinary(path, ingest_options, &graph, &ingest_stats)
-                 : IngestEdgeListText(path, ingest_options, &graph,
-                                      &ingest_stats);
-  if (!s.ok()) return s;
-  const double seconds = timer.Seconds();
-  out->reset(new HcdEngine(std::move(graph), options));
-  if (TelemetrySink* sink = (*out)->sink()) {
-    for (const StageRecord& r : ingest_stages.records()) sink->RecordStage(r);
-    StageRecord record;
-    record.stage = "load";
-    record.seconds = seconds;
-    record.counters = {{"n", (*out)->graph().NumVertices()},
-                       {"m", (*out)->graph().NumEdges()},
-                       {"bytes", ingest_stats.bytes},
-                       {"edges_dropped", ingest_stats.self_loops_dropped +
-                                             ingest_stats.duplicates_dropped}};
-    sink->RecordStage(record);
+  {
+    StageTelemetryBinding bind(&telemetry);
+    ScopedStage stage("load");
+    IngestOptions ingest_options;
+    ingest_options.io_threads =
+        options.io_threads > 0 ? options.io_threads : options.threads;
+    IngestStats ingest_stats;
+    const Status s =
+        HasSuffix(path, ".bin")
+            ? IngestBinary(path, ingest_options, &graph, &ingest_stats)
+            : IngestEdgeListText(path, ingest_options, &graph,
+                                 &ingest_stats);
+    if (!s.ok()) return s;
+    stage.AddCounter("n", graph.NumVertices());
+    stage.AddCounter("m", graph.NumEdges());
+    stage.AddCounter("bytes", ingest_stats.bytes);
+    stage.AddCounter("edges_dropped", ingest_stats.self_loops_dropped +
+                                          ingest_stats.duplicates_dropped);
   }
+  out->reset(new HcdEngine(std::move(graph), options));
+  (*out)->telemetry_ = std::move(telemetry);
   return Status::Ok();
 }
 
 const CoreDecomposition& HcdEngine::Coreness() {
+  StageTelemetryBinding bind(&telemetry_);
   if (cd_ == nullptr) {
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
     cd_ = std::make_shared<const CoreDecomposition>(
         options_.algo == EngineAlgo::kNaive
-            ? BzCoreDecomposition(*graph_, sink())
-            : PkcCoreDecomposition(*graph_, sink()));
+            ? BzCoreDecomposition(*graph_)
+            : PkcCoreDecomposition(*graph_));
   }
   return *cd_;
 }
 
 const VertexRank& HcdEngine::Rank() {
+  StageTelemetryBinding bind(&telemetry_);
   if (!rank_) {
     const CoreDecomposition& cd = Coreness();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "rank");
+    ScopedStage stage("rank");
     rank_ = ComputeVertexRank(cd);
   }
   return *rank_;
 }
 
 const EdgeIndexer& HcdEngine::Edges() {
+  StageTelemetryBinding bind(&telemetry_);
   if (!eidx_) {
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "truss.index");
+    ScopedStage stage("truss.index");
     eidx_ = BuildEdgeIndexer(*graph_);
     stage.AddCounter("edges", eidx_->NumEdges());
   }
@@ -121,11 +119,12 @@ const EdgeIndexer& HcdEngine::Edges() {
 }
 
 const TriangleIndexer& HcdEngine::Triangles() {
+  StageTelemetryBinding bind(&telemetry_);
   if (!tidx_) {
     const EdgeIndexer& eidx = Edges();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "nucleus.index");
+    ScopedStage stage("nucleus.index");
     tidx_ = BuildTriangleIndexer(*graph_, eidx);
     stage.AddCounter("triangles", tidx_->NumTriangles());
   }
@@ -133,11 +132,12 @@ const TriangleIndexer& HcdEngine::Triangles() {
 }
 
 const TrussDecomposition& HcdEngine::Trussness() {
+  StageTelemetryBinding bind(&telemetry_);
   if (!td_) {
     const EdgeIndexer& eidx = Edges();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "truss.decomposition");
+    ScopedStage stage("truss.decomposition");
     td_ = PeelTrussDecomposition(*graph_, eidx);
     stage.AddCounter("k_max", td_->k_max);
   }
@@ -145,12 +145,13 @@ const TrussDecomposition& HcdEngine::Trussness() {
 }
 
 const NucleusDecomposition& HcdEngine::NucleusTheta() {
+  StageTelemetryBinding bind(&telemetry_);
   if (!nd_) {
     const EdgeIndexer& eidx = Edges();
     const TriangleIndexer& tidx = Triangles();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "nucleus.decomposition");
+    ScopedStage stage("nucleus.decomposition");
     nd_ = PeelNucleusDecomposition(*graph_, eidx, tidx);
     stage.AddCounter("k_max", nd_->k_max);
   }
@@ -158,13 +159,14 @@ const NucleusDecomposition& HcdEngine::NucleusTheta() {
 }
 
 const HcdForest& HcdEngine::Forest() {
+  StageTelemetryBinding bind(&telemetry_);
   if (forest_) return *forest_;
   if (options_.hierarchy == HierarchyKind::kTruss) {
     const EdgeIndexer& eidx = Edges();
     const TrussDecomposition& td = Trussness();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "truss.construction");
+    ScopedStage stage("truss.construction");
     forest_ = options_.algo == EngineAlgo::kNaive
                   ? NaiveTrussHierarchy(*graph_, eidx, td)
                   : BuildTrussHierarchy(*graph_, eidx, td);
@@ -177,7 +179,7 @@ const HcdForest& HcdEngine::Forest() {
     const NucleusDecomposition& nd = NucleusTheta();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "nucleus.construction");
+    ScopedStage stage("nucleus.construction");
     forest_ = options_.algo == EngineAlgo::kNaive
                   ? NaiveNucleusHierarchy(*graph_, eidx, tidx, nd)
                   : BuildNucleusHierarchy(*graph_, eidx, tidx, nd);
@@ -190,14 +192,14 @@ const HcdForest& HcdEngine::Forest() {
     if (options_.threads > 0) guard.emplace(options_.threads);
     switch (options_.algo) {
       case EngineAlgo::kPhcd:
-        forest_ = PhcdBuild(*graph_, cd, sink());
+        forest_ = PhcdBuild(*graph_, cd);
         break;
       case EngineAlgo::kLcps:
-        forest_ = LcpsBuild(*graph_, cd, sink());
+        forest_ = LcpsBuild(*graph_, cd);
         break;
       case EngineAlgo::kNaive: {
-        // The oracle builder has no sink parameter; time it here.
-        ScopedStage stage(sink(), "construction");
+        // The oracle builder records no stage of its own; time it here.
+        ScopedStage stage("construction");
         forest_ = NaiveHcdBuild(*graph_, cd);
         stage.AddCounter("nodes", forest_->NumNodes());
         break;
@@ -208,26 +210,27 @@ const HcdForest& HcdEngine::Forest() {
 }
 
 const FlatHcdIndex& HcdEngine::Flat() {
+  StageTelemetryBinding bind(&telemetry_);
   if (flat_ == nullptr) {
     const HcdForest& forest = Forest();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
     switch (options_.hierarchy) {
       case HierarchyKind::kCore: {
-        ScopedStage stage(sink(), "construction.freeze");
+        ScopedStage stage("construction.freeze");
         flat_ = std::make_shared<const FlatHcdIndex>(Freeze(forest));
         stage.AddCounter("nodes", flat_->NumNodes());
         break;
       }
       case HierarchyKind::kTruss: {
-        ScopedStage stage(sink(), "truss.construction.freeze");
+        ScopedStage stage("truss.construction.freeze");
         flat_ = std::make_shared<const FlatHcdIndex>(
             FreezeTruss(*graph_, *eidx_, forest));
         stage.AddCounter("nodes", flat_->NumNodes());
         break;
       }
       case HierarchyKind::kNucleus: {
-        ScopedStage stage(sink(), "nucleus.construction.freeze");
+        ScopedStage stage("nucleus.construction.freeze");
         flat_ = std::make_shared<const FlatHcdIndex>(
             FreezeNucleus(*graph_, *tidx_, forest));
         stage.AddCounter("nodes", flat_->NumNodes());
@@ -267,18 +270,20 @@ Status HcdEngine::AdoptFlat(std::shared_ptr<const FlatHcdIndex> flat) {
 }
 
 const ElementSearchIndex& HcdEngine::ElementSearcher() {
+  StageTelemetryBinding bind(&telemetry_);
   if (!element_searcher_) {
     HCD_CHECK(options_.hierarchy != HierarchyKind::kCore)
         << "ElementSearcher serves element hierarchies; use Searcher()";
     Flat();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    element_searcher_.emplace(flat_, sink());
+    element_searcher_.emplace(flat_);
   }
   return *element_searcher_;
 }
 
 const SnapshotState& HcdEngine::SealedState() {
+  StageTelemetryBinding bind(&telemetry_);
   if (state_ == nullptr) {
     HCD_CHECK(options_.hierarchy == HierarchyKind::kCore)
         << "snapshot sealing scores core hierarchies; element hierarchies "
@@ -295,7 +300,7 @@ const SnapshotState& HcdEngine::SealedState() {
         owned_graph_ != nullptr ? owned_graph_
                                 : std::make_shared<const Graph>(*graph_);
     state_ = SnapshotState::Create(std::move(graph), cd_, flat_,
-                                   /*epoch=*/0, sink());
+                                   /*epoch=*/0);
   }
   return *state_;
 }
@@ -310,7 +315,11 @@ QuerySnapshot HcdEngine::Snapshot() {
 }
 
 SearchResult HcdEngine::Search(Metric metric) {
-  const SearchHit hit = Snapshot().Search(metric, &workspace_, sink());
+  const QuerySnapshot snapshot = Snapshot();
+  StageTelemetryBinding bind(&telemetry_);
+  ScopedStage stage("search.score");
+  const SearchHit hit = snapshot.Search(metric, &workspace_);
+  stage.AddCounter("nodes", snapshot.flat().NumNodes());
   SearchResult result;
   result.best_node = hit.best_node;
   result.best_score = hit.best_score;

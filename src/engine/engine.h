@@ -59,8 +59,6 @@ struct EngineOptions {
   /// 0 falls back to `threads`. Lets I/O-bound loading use a different
   /// width than the compute stages.
   int io_threads = 0;
-  /// When false, stages run un-instrumented and telemetry() stays empty.
-  bool telemetry = true;
 };
 
 /// The build-phase pipeline object behind every consumer of the library:
@@ -71,9 +69,10 @@ struct EngineOptions {
 /// each stage once.
 ///
 /// Thread counts are applied per stage with ThreadCountGuard (never by
-/// mutating global OpenMP state), and every stage reports wall time and
-/// cheap counters to the engine's StageTelemetry unless telemetry is
-/// disabled.
+/// mutating global OpenMP state). Every accessor binds the engine's
+/// StageTelemetry to the calling thread while it runs (StageTelemetryBinding),
+/// so each stage's wall time and cheap counters land in telemetry() as well
+/// as in the installed tracer and metrics registry.
 ///
 /// Thread-safety: the engine itself is not thread-safe — one engine is
 /// driven by one orchestrating thread. Concurrency lives on the serve side:
@@ -96,8 +95,8 @@ class HcdEngine {
   /// Loads a graph (binary when `path` ends in ".bin", else SNAP edge-list
   /// text) through the parallel validated ingest layer and wraps it in an
   /// engine. Records the ingest sub-stages ("load.read", "load.parse",
-  /// "load.remap", "load.build" / "load.validate") followed by an
-  /// aggregate "load" stage (counters: n, m, bytes, edges_dropped).
+  /// "load.remap", "load.build" / "load.validate") followed by the
+  /// enclosing "load" stage (counters: n, m, bytes, edges_dropped).
   static Status Load(const std::string& path, const EngineOptions& options,
                      std::unique_ptr<HcdEngine>* out);
 
@@ -105,16 +104,10 @@ class HcdEngine {
   const EngineOptions& options() const { return options_; }
 
   /// Per-stage telemetry accumulated so far. Consumers may record their
-  /// own stages (e.g. the CLI records "serialize").
+  /// own stages into it by binding it around a ScopedStage (e.g. the CLI
+  /// records "serialize").
   StageTelemetry& telemetry() { return telemetry_; }
   const StageTelemetry& telemetry() const { return telemetry_; }
-
-  /// The engine's sink, or null when options().telemetry is false. Pass to
-  /// library calls made outside the engine to merge their stages into the
-  /// same report.
-  TelemetrySink* sink() {
-    return options_.telemetry ? &telemetry_ : nullptr;
-  }
 
   /// Core decomposition (stage "decomposition"): PKC for phcd/lcps, the
   /// serial BZ reference for naive. Computed on first call.

@@ -90,8 +90,8 @@ Status LiveEngine::ApplyBatch(std::span<const EdgeUpdate> updates,
     refreeze_span.AddArg("full", plan.full_rebuild ? 1 : 0);
 
     FlatHcdIndex flat;
-    const Status s = ApplyRebuild(plan, old_state->flat(), *new_graph,
-                                  *new_cd, nullptr, &flat);
+    const Status s =
+        ApplyRebuild(plan, old_state->flat(), *new_graph, *new_cd, &flat);
     if (!s.ok()) return s;
     new_flat = std::make_shared<const FlatHcdIndex>(std::move(flat));
   }

@@ -101,7 +101,7 @@ class SnapshotReader {
 };
 
 struct LiveEngineOptions {
-  /// Options for the initial full build (algo, threads, telemetry).
+  /// Options for the initial full build (algo, hierarchy, threads).
   EngineOptions engine;
   /// Optional prebuilt core flat index (loaded or mmapped from a snapshot)
   /// adopted into the initial build, skipping hierarchy construction: the

@@ -10,16 +10,14 @@ namespace hcd {
 std::shared_ptr<const SnapshotState> SnapshotState::Create(
     std::shared_ptr<const Graph> graph,
     std::shared_ptr<const CoreDecomposition> cd,
-    std::shared_ptr<const FlatHcdIndex> flat, uint64_t epoch,
-    TelemetrySink* sink) {
+    std::shared_ptr<const FlatHcdIndex> flat, uint64_t epoch) {
   // make_shared is off the table because the constructor is private; one
   // extra allocation for the control block is fine.
   return std::shared_ptr<const SnapshotState>(new SnapshotState(
-      std::move(graph), std::move(cd), std::move(flat), epoch, sink));
+      std::move(graph), std::move(cd), std::move(flat), epoch));
 }
 
 SearchHit QuerySnapshot::Search(Metric metric, SearchWorkspace* ws,
-                                TelemetrySink* sink,
                                 uint64_t trace_id) const {
   // One span per served query, on the serving thread's own timeline, so a
   // trace of a multi-threaded bench shows per-thread query interleaving.
@@ -27,10 +25,8 @@ SearchHit QuerySnapshot::Search(Metric metric, SearchWorkspace* ws,
   if (trace_id != 0) span.AddArg("trace_id", TraceIdHex(trace_id));
   span.AddArg("metric", std::string(MetricName(metric)));
   span.AddArg("epoch", state_->epoch());
-  ScopedStage stage(sink, "search.score");
   const SearchHit hit =
       SearchInto(state_->flat(), state_->search_index(), metric, ws);
-  stage.AddCounter("nodes", state_->flat().NumNodes());
   span.AddArg("best_node", hit.best_node);
   return hit;
 }

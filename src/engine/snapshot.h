@@ -6,7 +6,6 @@
 #include <span>
 #include <utility>
 
-#include "common/telemetry.h"
 #include "core/core_decomposition.h"
 #include "graph/graph.h"
 #include "hcd/flat_index.h"
@@ -41,13 +40,12 @@ class SnapshotState {
   /// Builds a state from the finished serve-phase pieces (none may be
   /// null). The SearchIndex is constructed in place over them (recording
   /// its "search.preprocess" / "search.primary_*" / "search.argmax_tables"
-  /// stages into `sink`), so the four parts can never disagree about which
-  /// generation they belong to.
+  /// stages), so the four parts can never disagree about which generation
+  /// they belong to.
   static std::shared_ptr<const SnapshotState> Create(
       std::shared_ptr<const Graph> graph,
       std::shared_ptr<const CoreDecomposition> cd,
-      std::shared_ptr<const FlatHcdIndex> flat, uint64_t epoch,
-      TelemetrySink* sink = nullptr);
+      std::shared_ptr<const FlatHcdIndex> flat, uint64_t epoch);
 
   const Graph& graph() const { return *graph_; }
   const CoreDecomposition& coreness() const { return *cd_; }
@@ -67,13 +65,12 @@ class SnapshotState {
  private:
   SnapshotState(std::shared_ptr<const Graph> graph,
                 std::shared_ptr<const CoreDecomposition> cd,
-                std::shared_ptr<const FlatHcdIndex> flat, uint64_t epoch,
-                TelemetrySink* sink)
+                std::shared_ptr<const FlatHcdIndex> flat, uint64_t epoch)
       : graph_(std::move(graph)),
         cd_(std::move(cd)),
         flat_(std::move(flat)),
         epoch_(epoch),
-        search_(*graph_, *cd_, *flat_, sink) {}
+        search_(*graph_, *cd_, *flat_) {}
 
   const std::shared_ptr<const Graph> graph_;
   const std::shared_ptr<const CoreDecomposition> cd_;
@@ -115,13 +112,13 @@ class QuerySnapshot {
   /// Hot serve path: scores every tree node under `metric` into
   /// `ws->scores` and returns the best node. No allocation once the
   /// workspace is warm, no shared mutable state — safe to call from many
-  /// threads at once. With a sink, records a "search.score" stage (counter:
-  /// nodes); concurrent callers must pass a thread-safe sink
-  /// (ConcurrentTelemetrySink). A nonzero `trace_id` is attached to the
-  /// "serve.query" span (as "0x<hex>" text), tying a self-mode bench query
-  /// to the same request-scoped id scheme the wire server uses.
+  /// threads at once. Records one "serve.query" span and no stage: a
+  /// per-query stage would cost registry lookups on every call. A nonzero
+  /// `trace_id` is attached to the span (as "0x<hex>" text), tying a
+  /// self-mode bench query to the same request-scoped id scheme the wire
+  /// server uses.
   SearchHit Search(Metric metric, SearchWorkspace* ws,
-                   TelemetrySink* sink = nullptr, uint64_t trace_id = 0) const;
+                   uint64_t trace_id = 0) const;
 
   /// Allocating convenience wrapper: same scores and best node as the
   /// workspace overload, returned as a self-contained SearchResult.

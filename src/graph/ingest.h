@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "common/telemetry.h"
 #include "graph/graph.h"
 
 namespace hcd {
@@ -15,10 +14,6 @@ struct IngestOptions {
   /// OpenMP threads for every ingest stage (read, parse, remap, build,
   /// validate); 0 keeps the ambient setting. Applied with a scoped guard.
   int io_threads = 0;
-  /// Optional per-stage telemetry receiver; stages are named "load.read",
-  /// "load.parse", "load.remap", "load.build" (text) and "load.read",
-  /// "load.validate" (binary).
-  TelemetrySink* sink = nullptr;
 };
 
 /// What ingest saw and normalized; all counters are zero-initialized and
@@ -39,7 +34,8 @@ struct IngestStats {
 /// the thread count — loading the same file at any `io_threads` yields a
 /// byte-identical CSR). Lines of any length are handled; malformed lines
 /// fail with Corruption carrying the 1-based line number. Self-loops and
-/// duplicate/reversed edges are dropped by the parallel CSR build.
+/// duplicate/reversed edges are dropped by the parallel CSR build. Records
+/// the stages "load.read", "load.parse", "load.remap" and "load.build".
 Status IngestEdgeListText(const std::string& path, const IngestOptions& options,
                           Graph* graph, IngestStats* stats = nullptr);
 
@@ -49,7 +45,8 @@ Status IngestEdgeListText(const std::string& path, const IngestOptions& options,
 /// be monotone with the documented endpoints and every adjacency slice
 /// must be strictly ascending, in range and self-loop free (checked in
 /// parallel). Violations return Corruption instead of corrupting
-/// downstream algorithms.
+/// downstream algorithms. Records the stages "load.read" and
+/// "load.validate".
 Status IngestBinary(const std::string& path, const IngestOptions& options,
                     Graph* graph, IngestStats* stats = nullptr);
 

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/telemetry.h"
 
 namespace hcd {
 namespace {
@@ -16,9 +17,8 @@ constexpr uint32_t kNoPriority = 0xFFFFFFFFu;
 
 }  // namespace
 
-HcdForest LcpsBuild(const Graph& graph, const CoreDecomposition& cd,
-                    TelemetrySink* sink) {
-  ScopedStage stage(sink, "construction");
+HcdForest LcpsBuild(const Graph& graph, const CoreDecomposition& cd) {
+  ScopedStage stage("construction");
   const VertexId n = graph.NumVertices();
   HcdForest forest(n);
   if (n == 0) return forest;

@@ -1,7 +1,6 @@
 #ifndef HCD_HCD_LCPS_H_
 #define HCD_HCD_LCPS_H_
 
-#include "common/telemetry.h"
 #include "core/core_decomposition.h"
 #include "graph/graph.h"
 #include "hcd/forest.h"
@@ -27,10 +26,9 @@ namespace hcd {
 /// the paper attributes to LCPS ("multiple dynamic arrays").
 ///
 /// Requires `cd` to be the core decomposition of `graph` (e.g. from
-/// BzCoreDecomposition). O(m) time. With a sink, records a "construction"
-/// stage (counters: nodes).
-HcdForest LcpsBuild(const Graph& graph, const CoreDecomposition& cd,
-                    TelemetrySink* sink = nullptr);
+/// BzCoreDecomposition). O(m) time. Records a "construction" stage
+/// (counters: nodes).
+HcdForest LcpsBuild(const Graph& graph, const CoreDecomposition& cd);
 
 }  // namespace hcd
 

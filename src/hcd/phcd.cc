@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/telemetry.h"
 #include "common/trace.h"
 #include "hcd/vertex_rank.h"
 #include "parallel/omp_utils.h"
@@ -229,9 +230,8 @@ HcdForest PhcdBuildParallel(const Graph& graph, const CoreDecomposition& cd) {
 
 }  // namespace
 
-HcdForest PhcdBuild(const Graph& graph, const CoreDecomposition& cd,
-                    TelemetrySink* sink) {
-  ScopedStage stage(sink, "construction");
+HcdForest PhcdBuild(const Graph& graph, const CoreDecomposition& cd) {
+  ScopedStage stage("construction");
   HcdForest forest =
       graph.NumVertices() == 0
           ? HcdForest(0)

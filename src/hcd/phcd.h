@@ -1,7 +1,6 @@
 #ifndef HCD_HCD_PHCD_H_
 #define HCD_HCD_PHCD_H_
 
-#include "common/telemetry.h"
 #include "core/core_decomposition.h"
 #include "graph/graph.h"
 #include "hcd/forest.h"
@@ -29,10 +28,9 @@ namespace hcd {
 /// current OpenMP thread count; with one thread this is the paper's
 /// "PHCD (1)" serial configuration.
 ///
-/// Requires `cd` to be the core decomposition of `graph`. With a sink,
-/// records a "construction" stage (counters: shells, nodes).
-HcdForest PhcdBuild(const Graph& graph, const CoreDecomposition& cd,
-                    TelemetrySink* sink = nullptr);
+/// Requires `cd` to be the core decomposition of `graph`. Records a
+/// "construction" stage (counters: shells, nodes).
+HcdForest PhcdBuild(const Graph& graph, const CoreDecomposition& cd);
 
 }  // namespace hcd
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "common/telemetry.h"
 #include "common/trace.h"
 #include "graph/subgraph.h"
 #include "hcd/phcd.h"
@@ -43,14 +44,14 @@ RebuildPlan PlanRebuild(const FlatHcdIndex& old_index,
 
 Status ApplyRebuild(const RebuildPlan& plan, const FlatHcdIndex& old_index,
                     const Graph& new_graph, const CoreDecomposition& new_cd,
-                    TelemetrySink* sink, FlatHcdIndex* out) {
+                    FlatHcdIndex* out) {
   if (new_graph.NumVertices() != old_index.NumVertices() ||
       new_cd.coreness.size() != new_graph.NumVertices()) {
     return Status::InvalidArgument(
         "rebuild requires an unchanged vertex set");
   }
   if (plan.full_rebuild) {
-    HcdForest forest = PhcdBuild(new_graph, new_cd, sink);
+    HcdForest forest = PhcdBuild(new_graph, new_cd);
     *out = Freeze(std::move(forest));
     return Status::Ok();
   }
@@ -66,7 +67,7 @@ Status ApplyRebuild(const RebuildPlan& plan, const FlatHcdIndex& old_index,
   InducedSubgraph sub;
   FlatHcdIndex subflat;
   {
-    ScopedStage stage(sink, "rebuild.subbuild");
+    ScopedStage stage("rebuild.subbuild");
     sub = Induce(new_graph, plan.dirty_vertices);
     CoreDecomposition sub_cd;
     sub_cd.coreness.resize(sub.vertices.size());
@@ -74,12 +75,12 @@ Status ApplyRebuild(const RebuildPlan& plan, const FlatHcdIndex& old_index,
       sub_cd.coreness[i] = new_cd.coreness[sub.vertices[i]];
       sub_cd.k_max = std::max(sub_cd.k_max, sub_cd.coreness[i]);
     }
-    subflat = Freeze(PhcdBuild(sub.graph, sub_cd, nullptr));
+    subflat = Freeze(PhcdBuild(sub.graph, sub_cd));
     stage.AddCounter("vertices", sub.vertices.size());
     stage.AddCounter("nodes", subflat.NumNodes());
   }
 
-  ScopedStage stage(sink, "rebuild.splice");
+  ScopedStage stage("rebuild.splice");
   const FlatHcdIndex::Data& old_data = old_index.data();
   const FlatHcdIndex::Data& sub_data = subflat.data();
   FlatHcdIndex::Data data;

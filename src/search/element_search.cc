@@ -4,19 +4,19 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/telemetry.h"
 #include "common/trace.h"
 #include "parallel/omp_utils.h"
 
 namespace hcd {
 
-ElementSearchIndex::ElementSearchIndex(std::shared_ptr<const FlatHcdIndex> flat,
-                                       TelemetrySink* sink)
+ElementSearchIndex::ElementSearchIndex(std::shared_ptr<const FlatHcdIndex> flat)
     : flat_(std::move(flat)) {
   HCD_CHECK(flat_ != nullptr);
   HCD_CHECK(flat_->kind() != HierarchyKind::kCore)
       << "ElementSearchIndex serves element hierarchies; core hierarchies "
          "score through SearchIndex";
-  ScopedStage stage(sink, "search.element");
+  ScopedStage stage("search.element");
   const FlatHcdIndex& f = *flat_;
   const TreeNodeId num_nodes = f.NumNodes();
   const VertexId num_graph = f.NumGraphVertices();

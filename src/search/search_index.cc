@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/telemetry.h"
 #include "hcd/vertex_rank.h"
 
 namespace hcd {
@@ -35,24 +36,24 @@ TreeNodeId LevelArgmax::AtLeast(uint32_t k) const {
 }
 
 SearchIndex::SearchIndex(const Graph& graph, const CoreDecomposition& cd,
-                         const FlatHcdIndex& index, TelemetrySink* sink)
+                         const FlatHcdIndex& index)
     : globals_{graph.NumVertices(), graph.NumEdges()} {
   CorenessNeighborCounts pre;
   {
-    ScopedStage stage(sink, "search.preprocess");
+    ScopedStage stage("search.preprocess");
     pre = PreprocessCorenessCounts(graph, cd);
   }
   {
-    ScopedStage stage(sink, "search.primary_a");
+    ScopedStage stage("search.primary_a");
     type_a_ = PbksTypeAPrimary(graph, cd, index, pre);
   }
   {
-    ScopedStage stage(sink, "search.primary_b");
+    ScopedStage stage("search.primary_b");
     const VertexRank vr = ComputeVertexRank(cd);
     type_b_ = PbksTypeBPrimary(graph, cd, index, vr, pre);
   }
   {
-    ScopedStage stage(sink, "search.argmax_tables");
+    ScopedStage stage("search.argmax_tables");
     SearchWorkspace ws;
     argmax_.resize(std::size(kAllMetrics));
     for (const Metric metric : kAllMetrics) {

@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "common/telemetry.h"
 #include "core/core_decomposition.h"
 #include "graph/graph.h"
 #include "hcd/flat_index.h"
@@ -49,13 +48,12 @@ class LevelArgmax {
 /// frozen FlatHcdIndex alongside it). The constructor also scores every node
 /// under every metric once and keeps one LevelArgmax per metric, so each
 /// argmax query ("best k-core of level >= k under M") is a table lookup.
-/// With a sink, construction records the "search.preprocess",
-/// "search.primary_a", "search.primary_b" and "search.argmax_tables"
-/// stages.
+/// Construction records the "search.preprocess", "search.primary_a",
+/// "search.primary_b" and "search.argmax_tables" stages.
 class SearchIndex {
  public:
   SearchIndex(const Graph& graph, const CoreDecomposition& cd,
-              const FlatHcdIndex& index, TelemetrySink* sink = nullptr);
+              const FlatHcdIndex& index);
 
   SearchIndex(const SearchIndex&) = delete;
   SearchIndex& operator=(const SearchIndex&) = delete;

@@ -227,58 +227,59 @@ QueryServer::QueryServer(const SnapshotManager* manager, ServerOptions options)
   if (options_.workers <= 0) options_.workers = HardwareThreads();
   if (options_.max_pending < 0) options_.max_pending = 0;
   if (options_.stats_tick_millis <= 0) options_.stats_tick_millis = 1000;
+  ResolveInstruments(&own_registry_);
 }
 
 QueryServer::~QueryServer() { Stop(); }
+
+void QueryServer::ResolveInstruments(MetricsRegistry* registry) {
+  instruments_.requests = registry->GetCounter(
+      "hcd_server_requests_total", "Query requests answered by the server.");
+  instruments_.overload = registry->GetCounter(
+      "hcd_server_overload_total",
+      "Connections shed by admission control (pending queue full).");
+  instruments_.bad_requests = registry->GetCounter(
+      "hcd_server_bad_requests_total",
+      "Malformed frames; the offending connection is closed.");
+  instruments_.slow_log_dropped = registry->GetCounter(
+      "hcd_server_slow_log_dropped_total",
+      "Slow-query log lines refused by a full ring buffer.");
+  // Registered here (it is incremented by Tracer::PublishDroppedSpans)
+  // so the serving smoke can assert its presence and zero value.
+  registry->GetCounter("hcd_trace_dropped_spans_total",
+                       "Trace spans discarded by full per-thread buffers.");
+  const std::string latency_name = "hcd_query_latency_seconds";
+  const std::string latency_help =
+      "End-to-end latency of one served query (queue wait included).";
+  instruments_.latency = registry->GetHistogram(latency_name, latency_help);
+  instruments_.latency_by_metric.resize(std::size(kAllMetrics));
+  for (size_t i = 0; i < std::size(kAllMetrics); ++i) {
+    instruments_.latency_by_metric[i] = registry->GetHistogram(
+        latency_name, latency_help, {{"metric", MetricName(kAllMetrics[i])}});
+  }
+  for (int phase = 0; phase < kNumPhases; ++phase) {
+    instruments_.phases[phase] = registry->GetHistogram(
+        "hcd_server_phase_seconds",
+        "Per-phase share of each served query's latency.",
+        {{"phase", PhaseName(phase)}});
+  }
+  instruments_.queue_depth = registry->GetGauge(
+      "hcd_server_queue_depth", "Accepted connections waiting for a worker.");
+  instruments_.inflight = registry->GetGauge(
+      "hcd_server_inflight",
+      "Requests currently between frame read and response write.");
+  instruments_.queue_depth->Set(0.0);
+  instruments_.inflight->Set(0.0);
+}
 
 Status QueryServer::Start() {
   HCD_CHECK(!started_) << "query server already started";
   // Resolve every instrument once, first thing, before the socket exists
   // and before any server thread could run: the per-request path must
   // perform zero registry lookups (bench_micro's zero-lookup row and
-  // server_test assert exactly this), and resolving before any other
-  // Start step can fail means the registry can never end up tracking only
-  // part of what the plain-atomic ServerStats mirror counts.
-  if (MetricsRegistry* registry = MetricsRegistry::Current()) {
-    instruments_.requests = registry->GetCounter(
-        "hcd_server_requests_total", "Query requests answered by the server.");
-    instruments_.overload = registry->GetCounter(
-        "hcd_server_overload_total",
-        "Connections shed by admission control (pending queue full).");
-    instruments_.bad_requests = registry->GetCounter(
-        "hcd_server_bad_requests_total",
-        "Malformed frames; the offending connection is closed.");
-    instruments_.slow_log_dropped = registry->GetCounter(
-        "hcd_server_slow_log_dropped_total",
-        "Slow-query log lines refused by a full ring buffer.");
-    // Registered here (it is incremented by Tracer::PublishDroppedSpans)
-    // so the serving smoke can assert its presence and zero value.
-    registry->GetCounter("hcd_trace_dropped_spans_total",
-                         "Trace spans discarded by full per-thread buffers.");
-    const std::string latency_name = "hcd_query_latency_seconds";
-    const std::string latency_help =
-        "End-to-end latency of one served query (queue wait included).";
-    instruments_.latency = registry->GetHistogram(latency_name, latency_help);
-    instruments_.latency_by_metric.resize(std::size(kAllMetrics));
-    for (size_t i = 0; i < std::size(kAllMetrics); ++i) {
-      instruments_.latency_by_metric[i] = registry->GetHistogram(
-          latency_name, latency_help, {{"metric", MetricName(kAllMetrics[i])}});
-    }
-    for (int phase = 0; phase < kNumPhases; ++phase) {
-      instruments_.phases[phase] = registry->GetHistogram(
-          "hcd_server_phase_seconds",
-          "Per-phase share of each served query's latency.",
-          {{"phase", PhaseName(phase)}});
-    }
-    instruments_.queue_depth = registry->GetGauge(
-        "hcd_server_queue_depth",
-        "Accepted connections waiting for a worker.");
-    instruments_.inflight = registry->GetGauge(
-        "hcd_server_inflight",
-        "Requests currently between frame read and response write.");
-    instruments_.queue_depth->Set(0.0);
-    instruments_.inflight->Set(0.0);
-  }
+  // server_test assert exactly this).
+  MetricsRegistry* installed = MetricsRegistry::Current();
+  ResolveInstruments(installed != nullptr ? installed : &own_registry_);
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
@@ -354,16 +355,13 @@ void QueryServer::Stop() {
   workers_.clear();
   if (stats_ticker_.joinable()) stats_ticker_.join();
   // Connections still pending were never owned by a worker: shed them.
-  // The registry's overload counter moves in lockstep with the atomic so
-  // the two views cannot drift across a shutdown.
   for (const PendingConn& conn : pending_) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    if (instruments_.overload != nullptr) instruments_.overload->Increment();
+    instruments_.overload->Increment();
     WriteFrame(conn.fd, EncodeStatusOnlyResponse(ResponseStatus::kOverloaded));
     ::close(conn.fd);
   }
   pending_.clear();
-  if (instruments_.queue_depth != nullptr) instruments_.queue_depth->Set(0.0);
+  instruments_.queue_depth->Set(0.0);
   if (slow_log_ != nullptr) slow_log_->Stop();
   ::close(listen_fd_);
   listen_fd_ = -1;
@@ -385,17 +383,14 @@ void QueryServer::AcceptLoop() {
       if (pending_.size() <
           idle_workers_ + static_cast<size_t>(options_.max_pending)) {
         pending_.push_back({fd, StampNow(Tracer::Current())});
-        if (instruments_.queue_depth != nullptr) {
-          instruments_.queue_depth->Set(static_cast<double>(pending_.size()));
-        }
+        instruments_.queue_depth->Set(static_cast<double>(pending_.size()));
         admitted = true;
       }
     }
     if (admitted) {
       queue_cv_.notify_one();
     } else {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      if (instruments_.overload != nullptr) instruments_.overload->Increment();
+      instruments_.overload->Increment();
       WriteFrame(fd, EncodeStatusOnlyResponse(ResponseStatus::kOverloaded));
       ::close(fd);
     }
@@ -420,9 +415,7 @@ void QueryServer::WorkerLoop() {
       conn = pending_.front();
       pending_.pop_front();
       ctx.queue_depth = pending_.size();
-      if (instruments_.queue_depth != nullptr) {
-        instruments_.queue_depth->Set(static_cast<double>(pending_.size()));
-      }
+      instruments_.queue_depth->Set(static_cast<double>(pending_.size()));
     }
     ctx.conn_enqueue_ns = conn.enqueue_ns;
     ctx.conn_queue_ns =
@@ -444,19 +437,13 @@ void QueryServer::ServeConnection(int fd, WorkerContext* ctx) {
     Tracer* const tracer = Tracer::Current();
     const uint64_t t0 = StampNow(tracer);
     if (read == ReadResult::kError) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      if (instruments_.bad_requests != nullptr) {
-        instruments_.bad_requests->Increment();
-      }
+      instruments_.bad_requests->Increment();
       WriteFrame(fd, EncodeStatusOnlyResponse(ResponseStatus::kBadRequest));
       return;
     }
     MessageType type;
     if (!DecodeRequestType(payload, &type)) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      if (instruments_.bad_requests != nullptr) {
-        instruments_.bad_requests->Increment();
-      }
+      instruments_.bad_requests->Increment();
       WriteFrame(fd, EncodeStatusOnlyResponse(ResponseStatus::kBadRequest));
       return;
     }
@@ -475,10 +462,7 @@ void QueryServer::ServeConnection(int fd, WorkerContext* ctx) {
     }
     QueryRequest request;
     if (!DecodeQueryRequest(payload, &request)) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      if (instruments_.bad_requests != nullptr) {
-        instruments_.bad_requests->Increment();
-      }
+      instruments_.bad_requests->Increment();
       WriteFrame(fd, EncodeStatusOnlyResponse(ResponseStatus::kBadRequest));
       return;
     }
@@ -490,8 +474,7 @@ void QueryServer::ServeConnection(int fd, WorkerContext* ctx) {
 bool QueryServer::AnswerQuery(int fd, const QueryRequest& request,
                               WorkerContext* ctx, uint64_t t0, uint64_t t1,
                               Tracer* tracer) {
-  inflight_.fetch_add(1, std::memory_order_relaxed);
-  if (instruments_.inflight != nullptr) instruments_.inflight->Add(1.0);
+  instruments_.inflight->Add(1.0);
   // The generation this request is answered on is fixed here: a publish
   // racing with the request leaves this query on its acquired snapshot.
   const QuerySnapshot snapshot = ctx->reader.Snapshot();
@@ -546,8 +529,7 @@ bool QueryServer::AnswerQuery(int fd, const QueryRequest& request,
   // fetches metrics right after reading its last response must see every
   // answered request counted (the CI smoke pins the exact total). The
   // latency/phase recording stays after the write so it covers it.
-  const uint64_t seq = requests_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (instruments_.requests != nullptr) instruments_.requests->Increment();
+  const uint64_t seq = instruments_.requests->Increment();
 
   const bool ok = WriteFrame(fd, EncodeQueryResponse(response));
   const uint64_t t3 = StampNow(tracer);  // response on the wire
@@ -555,8 +537,7 @@ bool QueryServer::AnswerQuery(int fd, const QueryRequest& request,
   const uint64_t stamps[4] = {t0, t1, t2, t3};
   RecordRequestObservability(request, response, ctx, seq, stamps, tracer);
 
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  if (instruments_.inflight != nullptr) instruments_.inflight->Add(-1.0);
+  instruments_.inflight->Add(-1.0);
   return ok;
 }
 
@@ -581,19 +562,11 @@ void QueryServer::RecordRequestObservability(const QueryRequest& request,
       static_cast<double>(timings.search_ns) * 1e-9,
       static_cast<double>(timings.encode_ns) * 1e-9,
   };
-  // The always-on mirrors feed the kStats windows whether or not a
-  // registry is installed; the registry instruments see the same values.
-  latency_hist_.Observe(total_seconds);
+  instruments_.latency->Observe(total_seconds);
+  instruments_.latency_by_metric[static_cast<size_t>(request.metric)]
+      ->Observe(total_seconds);
   for (int phase = 0; phase < kNumPhases; ++phase) {
-    phase_hist_[phase].Observe(phase_seconds[phase]);
-  }
-  if (instruments_.requests != nullptr) {
-    instruments_.latency->Observe(total_seconds);
-    instruments_.latency_by_metric[static_cast<size_t>(request.metric)]
-        ->Observe(total_seconds);
-    for (int phase = 0; phase < kNumPhases; ++phase) {
-      instruments_.phases[phase]->Observe(phase_seconds[phase]);
-    }
+    instruments_.phases[phase]->Observe(phase_seconds[phase]);
   }
 
   if (tracer != nullptr) {
@@ -648,8 +621,7 @@ void QueryServer::RecordRequestObservability(const QueryRequest& request,
       record.epoch = response.epoch;
       record.queue_depth = ctx->queue_depth;
       record.timings = timings;
-      if (!slow_log_->Append(FormatSlowLogRecord(record)) &&
-          instruments_.slow_log_dropped != nullptr) {
+      if (!slow_log_->Append(FormatSlowLogRecord(record))) {
         instruments_.slow_log_dropped->Increment();
       }
     }
@@ -672,16 +644,15 @@ WindowSample QueryServer::CaptureSample() const {
   WindowSample sample;
   sample.at_seconds = static_cast<double>(SteadyNowNs()) * 1e-9;
   sample.counters.resize(kNumWindowCounters);
-  sample.counters[kWinRequests] = requests_.load(std::memory_order_relaxed);
-  sample.counters[kWinBadRequests] =
-      bad_requests_.load(std::memory_order_relaxed);
-  sample.counters[kWinShed] = shed_.load(std::memory_order_relaxed);
+  sample.counters[kWinRequests] = instruments_.requests->Value();
+  sample.counters[kWinBadRequests] = instruments_.bad_requests->Value();
+  sample.counters[kWinShed] = instruments_.overload->Value();
   sample.counters[kWinConnections] =
       connections_.load(std::memory_order_relaxed);
   sample.histograms.reserve(1 + kNumPhases);
-  sample.histograms.push_back(SampleHistogram(latency_hist_));
+  sample.histograms.push_back(SampleHistogram(*instruments_.latency));
   for (int phase = 0; phase < kNumPhases; ++phase) {
-    sample.histograms.push_back(SampleHistogram(phase_hist_[phase]));
+    sample.histograms.push_back(SampleHistogram(*instruments_.phases[phase]));
   }
   return sample;
 }
@@ -738,8 +709,8 @@ std::string QueryServer::RenderStatsJson() const {
     out += std::to_string(pending_.size());
   }
   out += ",\"inflight\":";
-  out += std::to_string(
-      std::max<int64_t>(0, inflight_.load(std::memory_order_relaxed)));
+  out += std::to_string(std::max<int64_t>(
+      0, static_cast<int64_t>(instruments_.inflight->Value())));
   out += ",\"totals\":{\"requests\":";
   out += std::to_string(totals.requests);
   out += ",\"metrics_requests\":";
@@ -807,14 +778,14 @@ std::string QueryServer::RenderStatsJson() const {
   // Lifetime totals over the same histograms, for tools (serve-bench's
   // --server-phase-report) that want attribution across a whole run.
   out += "],\"total\":{\"latency_us\":";
-  out += QuantilesJson(SampleHistogram(latency_hist_));
+  out += QuantilesJson(SampleHistogram(*instruments_.latency));
   out += ",\"phases_us\":{";
   for (int phase = 0; phase < kNumPhases; ++phase) {
     if (phase > 0) out += ',';
     out += '"';
     out += PhaseName(phase);
     out += "\":";
-    out += QuantilesJson(SampleHistogram(phase_hist_[phase]));
+    out += QuantilesJson(SampleHistogram(*instruments_.phases[phase]));
   }
   out += "}}}";
   return out;
@@ -822,11 +793,11 @@ std::string QueryServer::RenderStatsJson() const {
 
 ServerStats QueryServer::stats() const {
   ServerStats stats;
-  stats.requests = requests_.load(std::memory_order_relaxed);
+  stats.requests = instruments_.requests->Value();
   stats.metrics_requests = metrics_requests_.load(std::memory_order_relaxed);
   stats.stats_requests = stats_requests_.load(std::memory_order_relaxed);
-  stats.bad_requests = bad_requests_.load(std::memory_order_relaxed);
-  stats.shed = shed_.load(std::memory_order_relaxed);
+  stats.bad_requests = instruments_.bad_requests->Value();
+  stats.shed = instruments_.overload->Value();
   stats.connections = connections_.load(std::memory_order_relaxed);
   return stats;
 }

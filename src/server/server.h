@@ -107,8 +107,9 @@ struct ServerOptions {
   int stats_tick_millis = 1000;
 };
 
-/// Counters mirrored into the metrics registry (kept as plain atomics too
-/// so tests and serve-bench's self mode can read them without a registry).
+/// A read-only view of the server's counts. `requests`, `bad_requests` and
+/// `shed` are the values of the server's registry counters (see
+/// QueryServer); the rest are counted only here.
 struct ServerStats {
   uint64_t requests = 0;       ///< query requests answered
   /// Always 0: there is no result cache. Kept because
@@ -132,28 +133,32 @@ struct ServerStats {
 /// generation they acquired. Every generation carries its own argmax
 /// tables (SearchIndex), so a publish leaves nothing to invalidate.
 ///
-/// With a MetricsRegistry installed, Start() resolves (once, never per
-/// request, and before any server thread exists so the registry can never
-/// drift from the plain-atomic ServerStats mirror): counters
-/// hcd_server_requests_total, hcd_server_overload_total, hcd_server_bad_requests_total,
+/// Every exported count and histogram exists once. Start() resolves them
+/// (once, never per request, and before any server thread exists) from
+/// the installed MetricsRegistry, or from a registry the server owns when
+/// none is installed: counters hcd_server_requests_total,
+/// hcd_server_overload_total, hcd_server_bad_requests_total,
 /// hcd_server_slow_log_dropped_total, hcd_trace_dropped_spans_total, the
 /// hcd_query_latency_seconds histogram family (one unlabeled series plus
 /// one {metric=...} child per metric), the per-phase
 /// hcd_server_phase_seconds{phase=queue|decode|search|encode}
 /// histograms, and the hcd_server_queue_depth / hcd_server_inflight
-/// gauges. The kMetrics endpoint serves the installed registry's
-/// Prometheus rendering.
+/// gauges. stats(), the kStats totals and the kStats rolling windows all
+/// read those same instruments, so they cannot drift from the Prometheus
+/// exposition. An installed registry must outlive the server, and servers
+/// that share one registry share its counts. The kMetrics endpoint serves
+/// the installed registry's Prometheus rendering.
 ///
 /// Request-scoped observability (docs/OBSERVABILITY.md "Request-scoped
 /// serving"): every query is timed with consecutive monotonic stamps so
 /// its decode/search/encode phases sum exactly to its wall time
 /// (plus the connection's pending-queue wait, attributed to the first
-/// request). The per-phase histograms and an internal always-on mirror
-/// feed both the slow-query log and the kStats rolling windows; with a
-/// Tracer installed each request additionally records a `serve.request`
-/// span plus one span per phase, all carrying the request's wire trace id,
-/// so the client's `client.query` lane and the server's lanes pair up in
-/// one Perfetto view.
+/// request). The per-phase histograms feed both the slow-query log and the
+/// kStats rolling windows; with a Tracer installed each request
+/// additionally records a `serve.request` span plus one span per phase,
+/// all carrying the request's wire trace id, so the client's
+/// `client.query` lane and the server's lanes pair up in one Perfetto
+/// view.
 class QueryServer {
  public:
   /// The manager must outlive the server. Does not listen yet.
@@ -196,7 +201,8 @@ class QueryServer {
  private:
   /// Instrument pointers resolved once at Start so the per-request path
   /// performs zero registry lookups (latency_by_metric indexed by Metric
-  /// value, phases by Phase).
+  /// value, phases by Phase). Until the first Start they point into
+  /// own_registry_, so stats() of a server that never started reads zeros.
   struct Instruments {
     Counter* requests = nullptr;
     Counter* overload = nullptr;
@@ -231,6 +237,8 @@ class QueryServer {
     bool first_request = false;    ///< queue wait not yet attributed
   };
 
+  /// Points instruments_ at `registry`'s instruments (creating them).
+  void ResolveInstruments(MetricsRegistry* registry);
   void AcceptLoop();
   void WorkerLoop();
   void StatsTickerLoop();
@@ -258,6 +266,7 @@ class QueryServer {
   const SnapshotManager* manager_;
   ServerOptions options_;
   std::unique_ptr<SlowQueryLog> slow_log_;
+  MetricsRegistry own_registry_;  ///< used when none is installed at Start
   Instruments instruments_;
 
   int listen_fd_ = -1;
@@ -276,22 +285,14 @@ class QueryServer {
   mutable std::mutex ticker_mu_;
   std::condition_variable ticker_cv_;
 
-  /// Always-on mirrors of the latency and phase histograms (observed next
-  /// to the registry instruments): the kStats windows and totals read
-  /// these, so live introspection works with or without a registry.
-  Histogram latency_hist_;
-  Histogram phase_hist_[kNumPhases];
   RollingWindow windows_;
   uint64_t start_steady_ns_ = 0;   ///< uptime origin
   uint64_t start_unix_ms_ = 0;     ///< wall-clock stamp of Start()
 
-  std::atomic<uint64_t> requests_{0};
+  // Counts that are not exported through the registry.
   std::atomic<uint64_t> metrics_requests_{0};
   std::atomic<uint64_t> stats_requests_{0};
-  std::atomic<uint64_t> bad_requests_{0};
-  std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> connections_{0};
-  std::atomic<int64_t> inflight_{0};  ///< requests between decode and write
 };
 
 }  // namespace hcd::server

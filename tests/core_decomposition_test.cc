@@ -2,7 +2,6 @@
 
 #include "core/core_decomposition.h"
 #include "core/julienne.h"
-#include "core/mpm.h"
 #include "core/naive.h"
 #include "graph/generators.h"
 #include "parallel/omp_utils.h"
@@ -76,14 +75,6 @@ TEST_P(CoreDecompositionSuite, PkcMatchesBz) {
   EXPECT_EQ(bz.k_max, pkc.k_max);
 }
 
-TEST_P(CoreDecompositionSuite, MpmMatchesBz) {
-  const Graph& g = GetParam().graph;
-  CoreDecomposition bz = BzCoreDecomposition(g);
-  CoreDecomposition mpm = MpmCoreDecomposition(g);
-  EXPECT_EQ(bz.coreness, mpm.coreness);
-  EXPECT_EQ(bz.k_max, mpm.k_max);
-}
-
 TEST_P(CoreDecompositionSuite, JulienneMatchesBz) {
   const Graph& g = GetParam().graph;
   CoreDecomposition bz = BzCoreDecomposition(g);
@@ -99,21 +90,6 @@ TEST_P(CoreDecompositionSuite, JulienneStableAcrossThreadCounts) {
     ThreadCountGuard guard(threads);
     EXPECT_EQ(JulienneCoreDecomposition(g).coreness, base.coreness)
         << "threads=" << threads;
-  }
-}
-
-TEST_P(CoreDecompositionSuite, ApproxGuaranteeHolds) {
-  const Graph& g = GetParam().graph;
-  CoreDecomposition exact = BzCoreDecomposition(g);
-  for (double delta : {0.25, 1.0}) {
-    CoreDecomposition approx = ApproxCoreDecomposition(g, delta);
-    for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      // c~ <= c < (1 + delta) * c~ + 1
-      EXPECT_LE(approx.coreness[v], exact.coreness[v]) << "vertex " << v;
-      EXPECT_LT(static_cast<double>(exact.coreness[v]),
-                (1.0 + delta) * approx.coreness[v] + 1.0 + 1e-9)
-          << "vertex " << v << " delta " << delta;
-    }
   }
 }
 

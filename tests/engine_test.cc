@@ -1,16 +1,20 @@
 // Tests for the HcdEngine pipeline layer: stage memoization (each stage
 // computed at most once per engine), options plumbing (algorithm selection,
-// thread-count guarding, telemetry on/off), the Load factory, and the JSON
-// telemetry shape behind `hcd_cli --json`.
+// thread-count guarding), the per-thread telemetry binding, the Load
+// factory, and the JSON telemetry shape behind `hcd_cli --json`.
 
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/telemetry.h"
+#include "common/trace.h"
 #include "core/core_decomposition.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -24,33 +28,6 @@
 
 namespace hcd {
 namespace {
-
-/// Sink that counts RecordStage calls per stage label.
-class CountingSink : public TelemetrySink {
- public:
-  void RecordStage(const StageRecord& record) override {
-    ++total_;
-    for (auto& [stage, count] : per_stage_) {
-      if (stage == record.stage) {
-        ++count;
-        return;
-      }
-    }
-    per_stage_.push_back({record.stage, 1});
-  }
-
-  size_t total() const { return total_; }
-  size_t Count(const std::string& stage) const {
-    for (const auto& [s, count] : per_stage_) {
-      if (s == stage) return count;
-    }
-    return 0;
-  }
-
- private:
-  size_t total_ = 0;
-  std::vector<std::pair<std::string, size_t>> per_stage_;
-};
 
 TEST(EngineTest, StagesAreMemoized) {
   HcdEngine engine(RMatGraph500(9, 3000, 5));
@@ -91,25 +68,106 @@ TEST(EngineTest, DecompositionRunsExactlyOnce) {
   EXPECT_EQ(t.CountStage("search.score"), 3u);
 }
 
-TEST(EngineTest, SinkParameterPlumbing) {
-  // The optional TelemetrySink* threaded through the library entry points:
-  // null means no instrumentation, a sink receives exactly one stage per
-  // call.
+TEST(EngineTest, BindingRecordsOneStagePerLibraryCall) {
+  // Library entry points report to the StageTelemetry bound to the calling
+  // thread: exactly one stage per call while bound, nothing once unbound.
   Graph g = ErdosRenyiGnm(300, 900, 1);
-  CountingSink sink;
-  CoreDecomposition cd = PkcCoreDecomposition(g, &sink);
-  EXPECT_EQ(sink.total(), 1u);
-  EXPECT_EQ(sink.Count("decomposition"), 1u);
-  PhcdBuild(g, cd, &sink);
-  EXPECT_EQ(sink.Count("construction"), 1u);
-  LcpsBuild(g, cd, &sink);
-  EXPECT_EQ(sink.Count("construction"), 2u);
-  BzCoreDecomposition(g, &sink);
-  EXPECT_EQ(sink.Count("decomposition"), 2u);
-  // Null-sink calls still work and add nothing.
+  StageTelemetry telemetry;
+  CoreDecomposition cd;
+  {
+    StageTelemetryBinding bind(&telemetry);
+    cd = PkcCoreDecomposition(g);
+    EXPECT_EQ(telemetry.records().size(), 1u);
+    EXPECT_EQ(telemetry.CountStage("decomposition"), 1u);
+    PhcdBuild(g, cd);
+    EXPECT_EQ(telemetry.CountStage("construction"), 1u);
+    LcpsBuild(g, cd);
+    EXPECT_EQ(telemetry.CountStage("construction"), 2u);
+    BzCoreDecomposition(g);
+    EXPECT_EQ(telemetry.CountStage("decomposition"), 2u);
+  }
+  EXPECT_EQ(StageTelemetryBinding::Current(), nullptr);
+  // Unbound calls still work and add nothing.
   CoreDecomposition cd2 = PkcCoreDecomposition(g);
   EXPECT_EQ(cd2.coreness, cd.coreness);
-  EXPECT_EQ(sink.total(), 4u);
+  PhcdBuild(g, cd2);
+  EXPECT_EQ(telemetry.records().size(), 4u);
+}
+
+TEST(EngineTest, BindingsNestAndRestore) {
+  StageTelemetry outer;
+  StageTelemetry inner;
+  {
+    StageTelemetryBinding bind_outer(&outer);
+    {
+      StageTelemetryBinding bind_inner(&inner);
+      ScopedStage stage("inner");
+    }
+    EXPECT_EQ(StageTelemetryBinding::Current(), &outer);
+    ScopedStage stage("outer");
+  }
+  EXPECT_EQ(StageTelemetryBinding::Current(), nullptr);
+  ASSERT_EQ(inner.records().size(), 1u);
+  EXPECT_EQ(inner.records()[0].stage, "inner");
+  ASSERT_EQ(outer.records().size(), 1u);
+  EXPECT_EQ(outer.records()[0].stage, "outer");
+}
+
+TEST(EngineTest, BindingIsInvisibleToOtherThreads) {
+  // A stage finished on one thread never lands in a telemetry bound on
+  // another, even while that binding is live.
+  StageTelemetry bound_elsewhere;
+  std::latch bound(1);
+  std::latch recorded(1);
+  std::thread holder([&] {
+    StageTelemetryBinding bind(&bound_elsewhere);
+    bound.count_down();
+    recorded.wait();
+  });
+  bound.wait();
+  EXPECT_EQ(StageTelemetryBinding::Current(), nullptr);
+  { ScopedStage stage("other-thread"); }
+  recorded.count_down();
+  holder.join();
+  EXPECT_TRUE(bound_elsewhere.records().empty());
+}
+
+TEST(EngineTest, SideBySideEnginesRecordOnlyTheirOwnStages) {
+  // Engines driven from separate threads at the same time each keep
+  // exactly their own build stages: the binding is per thread, so no stage
+  // of one engine can land in another's telemetry.
+  Graph g = ErdosRenyiGnm(20000, 120000, 17);
+  const std::string path = ::testing::TempDir() + "/engine_side_by_side.bin";
+  ASSERT_TRUE(SaveBinary(g, path).ok());
+  constexpr int kEngines = 4;
+  std::vector<std::unique_ptr<HcdEngine>> engines(kEngines);
+  std::latch start(kEngines);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kEngines; ++i) {
+    threads.emplace_back([&, i] {
+      EngineOptions options;
+      options.threads = 1;
+      start.arrive_and_wait();
+      if (!HcdEngine::Load(path, options, &engines[i]).ok()) return;
+      engines[i]->Rank();
+      engines[i]->Snapshot();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const std::vector<std::string> stages = {
+      "load.read",           "load.validate",     "load",
+      "decomposition",       "rank",              "construction",
+      "construction.freeze", "search.preprocess", "search.primary_a",
+      "search.primary_b",    "search.argmax_tables"};
+  for (int i = 0; i < kEngines; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_NE(engines[i], nullptr);
+    const StageTelemetry& t = engines[i]->telemetry();
+    EXPECT_EQ(t.records().size(), stages.size());
+    for (const std::string& stage : stages) {
+      EXPECT_EQ(t.CountStage(stage), 1u) << stage;
+    }
+  }
 }
 
 TEST(EngineTest, AlgoSelectionProducesEquivalentForests) {
@@ -139,13 +197,6 @@ TEST(EngineTest, ThreadOptionDoesNotLeakGlobalState) {
   EXPECT_EQ(MaxThreads(), ambient);
 }
 
-TEST(EngineTest, TelemetryOffLeavesNoRecords) {
-  HcdEngine engine(RMatGraph500(8, 2000, 3), {.telemetry = false});
-  EXPECT_EQ(engine.sink(), nullptr);
-  engine.Search(Metric::kConductance);
-  EXPECT_TRUE(engine.telemetry().records().empty());
-}
-
 TEST(EngineTest, SearchMatchesDirectPbks) {
   Graph g = RMatGraph500(9, 3000, 7);
   HcdEngine engine(&g);
@@ -173,6 +224,42 @@ TEST(EngineTest, LoadRecordsLoadStage) {
   std::unique_ptr<HcdEngine> missing;
   EXPECT_FALSE(
       HcdEngine::Load("/nonexistent/graph.bin", {}, &missing).ok());
+}
+
+TEST(EngineTest, LoadStageReachesTracerAndRegistry) {
+  // "load" is an ordinary stage: besides the engine's telemetry it reaches
+  // the installed tracer (as a span carrying its counters) and registry.
+  Graph g = ErdosRenyiGnm(200, 600, 9);
+  const std::string path = ::testing::TempDir() + "/engine_test_traced.bin";
+  ASSERT_TRUE(SaveBinary(g, path).ok());
+
+  Tracer tracer;
+  MetricsRegistry registry;
+  tracer.Install();
+  registry.Install();
+  std::unique_ptr<HcdEngine> engine;
+  const Status s = HcdEngine::Load(path, {}, &engine);
+  registry.Uninstall();
+  tracer.Uninstall();
+  ASSERT_TRUE(s.ok()) << s.message();
+  EXPECT_EQ(engine->telemetry().CountStage("load"), 1u);
+
+  const TraceSpan* load = nullptr;
+  const std::vector<TraceSpanRecord> spans = tracer.CollectSpans();
+  for (const TraceSpanRecord& r : spans) {
+    if (r.span.name == "load") load = &r.span;
+  }
+  ASSERT_NE(load, nullptr);
+  std::vector<std::string> keys;
+  for (const TraceArg& arg : load->args) keys.push_back(arg.key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"n", "m", "bytes",
+                                            "edges_dropped"}));
+  EXPECT_EQ(load->args[0].value, g.NumVertices());
+  EXPECT_EQ(load->args[1].value, g.NumEdges());
+  EXPECT_EQ(
+      registry.GetCounter("hcd_stage_runs_total", "", {{"stage", "load"}})
+          ->Value(),
+      1u);
 }
 
 TEST(EngineTest, ParseAndNameRoundTrip) {
@@ -217,8 +304,9 @@ TEST(TelemetryTest, JsonEscaping) {
   EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
 
-TEST(TelemetryTest, ScopedStageNullSinkIsNoop) {
-  ScopedStage stage(nullptr, "anything");
+TEST(TelemetryTest, UnboundScopedStageIsNoop) {
+  ASSERT_EQ(StageTelemetryBinding::Current(), nullptr);
+  ScopedStage stage("anything");
   stage.AddCounter("n", 1);  // must not crash
 }
 

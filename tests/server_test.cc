@@ -791,7 +791,7 @@ TEST(QueryServerTest, SoakTableServingStaysConsistentAcrossHandover) {
 
 // --- request-scoped observability -------------------------------------------
 
-TEST(QueryServerTest, StatsJsonMatchesTheAlwaysOnHistograms) {
+TEST(QueryServerTest, StatsJsonReadsTheRegistryHistograms) {
   MetricsRegistry registry;
   registry.Install();
   {
@@ -828,9 +828,9 @@ TEST(QueryServerTest, StatsJsonMatchesTheAlwaysOnHistograms) {
     EXPECT_EQ(totals->Find("bad_requests")->number, 0.0);
     EXPECT_EQ(totals->Find("connections")->number, 1.0);
 
-    // The lifetime quantiles are rendered from the same always-on
-    // histogram the registry instrument mirrors, so the JSON p99 equals
-    // the registry histogram's Quantile (modulo %.6g formatting).
+    // The lifetime quantiles are rendered from the registry histogram
+    // itself, so the JSON p99 equals its Quantile (modulo %.6g
+    // formatting).
     const JsonValue* total = doc.Find("total");
     ASSERT_NE(total, nullptr);
     const JsonValue* latency = total->Find("latency_us");
@@ -842,7 +842,7 @@ TEST(QueryServerTest, StatsJsonMatchesTheAlwaysOnHistograms) {
                 registry_p99 * 1e-4 + 1e-9);
 
     // Every phase histogram saw every request, and the per-phase p99s are
-    // rendered from the registry-mirrored data too.
+    // rendered from the registry histograms too.
     const JsonValue* phases = total->Find("phases_us");
     for (const char* phase : {"queue", "decode", "search", "encode"}) {
       ASSERT_NE(phases->Find(phase), nullptr) << phase;
@@ -1004,9 +1004,8 @@ TEST(QueryServerTest, TraceSpansPairClientAndServerByTraceId) {
 
 // The registry-drift regression test: after a run mixing answered
 // queries, a malformed frame, and connections shed both by admission
-// control and by Stop, every registry counter equals its ServerStats
-// mirror (instruments are resolved before any server thread exists, and
-// every path that bumps an atomic bumps its instrument).
+// control and by Stop, every registry counter equals what ServerStats
+// reports (ServerStats reads those counters; the server keeps no copy).
 TEST(QueryServerTest, RegistryCountersMirrorServerStatsExactly) {
   MetricsRegistry registry;
   registry.Install();

@@ -94,12 +94,13 @@ TEST(Tracer, InstallPublishesAndUninstallClears) {
 TEST(Tracer, DisabledPathDoesNotAllocate) {
   ASSERT_EQ(Tracer::Current(), nullptr);
   ASSERT_EQ(MetricsRegistry::Current(), nullptr);
+  ASSERT_EQ(StageTelemetryBinding::Current(), nullptr);
   const uint64_t before = g_alloc_count.load();
   for (int i = 0; i < 1000; ++i) {
     ScopedSpan span("disabled");
     span.AddArg("i", static_cast<uint64_t>(i));
     span.AddArg("name", "text");
-    ScopedStage stage(nullptr, "disabled-stage");
+    ScopedStage stage("disabled-stage");
     stage.AddCounter("i", static_cast<uint64_t>(i));
   }
   const uint64_t after = g_alloc_count.load();
@@ -282,23 +283,24 @@ TEST(Tracer, WriteChromeJsonReportsIoError) {
 }
 
 /// The ScopedStage bridge feeds all three backends from one scope: the
-/// sink gets a StageRecord, the tracer a span whose args are the stage
-/// counters, and the registry the stage histogram/counter family.
-TEST(ScopedStageBridge, ReportsToSinkTracerAndRegistry) {
+/// bound telemetry gets a StageRecord, the tracer a span whose args are the
+/// stage counters, and the registry the stage histogram/counter family.
+TEST(ScopedStageBridge, ReportsToBoundTelemetryTracerAndRegistry) {
   Tracer tracer;
   MetricsRegistry registry;
-  StageTelemetry sink;
+  StageTelemetry telemetry;
   tracer.Install();
   registry.Install();
   {
-    ScopedStage stage(&sink, "bridged");
+    StageTelemetryBinding bind(&telemetry);
+    ScopedStage stage("bridged");
     stage.AddCounter("widgets", 5);
   }
   registry.Uninstall();
   tracer.Uninstall();
 
-  ASSERT_EQ(sink.records().size(), 1u);
-  EXPECT_EQ(sink.records()[0].stage, "bridged");
+  ASSERT_EQ(telemetry.records().size(), 1u);
+  EXPECT_EQ(telemetry.records()[0].stage, "bridged");
 
   const std::vector<TraceSpanRecord> spans = tracer.CollectSpans();
   ASSERT_EQ(spans.size(), 1u);
@@ -319,12 +321,12 @@ TEST(ScopedStageBridge, ReportsToSinkTracerAndRegistry) {
   EXPECT_EQ(widgets->Value(), 5u);
 }
 
-/// Without a sink, a tracer alone still activates the stage (spans appear),
-/// and with nothing at all the stage records nowhere.
+/// With no telemetry bound, a tracer alone still activates the stage (spans
+/// appear), and with nothing at all the stage records nowhere.
 TEST(ScopedStageBridge, TracerAloneActivatesStage) {
   Tracer tracer;
   tracer.Install();
-  { ScopedStage stage(nullptr, "tracer-only"); }
+  { ScopedStage stage("tracer-only"); }
   tracer.Uninstall();
   ASSERT_EQ(tracer.NumSpans(), 1u);
   EXPECT_EQ(tracer.CollectSpans()[0].span.name, "tracer-only");

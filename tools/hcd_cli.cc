@@ -88,6 +88,7 @@ using hcd::EngineOptions;
 using hcd::Graph;
 using hcd::HcdEngine;
 using hcd::ScopedStage;
+using hcd::StageTelemetryBinding;
 using hcd::Status;
 
 bool HasSuffix(const std::string& s, const std::string& suffix) {
@@ -613,7 +614,8 @@ Status AdoptSnapshotIfRequested(const CliArgs& args, HcdEngine* engine) {
       args.snapshot_mode_set ? args.snapshot_mode : hcd::SnapshotMode::kRead;
   hcd::FlatHcdIndex flat;
   {
-    ScopedStage stage(engine->sink(), "load.snapshot");
+    StageTelemetryBinding bind(&engine->telemetry());
+    ScopedStage stage("load.snapshot");
     Status s = hcd::LoadFlatSnapshot(args.snapshot_path, mode, &flat);
     if (!s.ok()) return s;
     stage.AddCounter("nodes", flat.NumNodes());
@@ -677,15 +679,16 @@ int CmdConvert(const CliArgs& args) {
   if (args.pos.size() != 2) return Usage();
   Graph g;
   hcd::StageTelemetry telemetry;
-  hcd::IngestOptions ingest_options;
-  ingest_options.io_threads = args.options.io_threads > 0
-                                  ? args.options.io_threads
-                                  : args.options.threads;
-  ingest_options.sink = args.options.telemetry ? &telemetry : nullptr;
-  Status s = hcd::IngestEdgeListText(args.pos[0], ingest_options, &g);
-  if (!s.ok()) return Fail(s);
+  Status s;
   {
-    ScopedStage stage(ingest_options.sink, "serialize");
+    StageTelemetryBinding bind(&telemetry);
+    hcd::IngestOptions ingest_options;
+    ingest_options.io_threads = args.options.io_threads > 0
+                                    ? args.options.io_threads
+                                    : args.options.threads;
+    s = hcd::IngestEdgeListText(args.pos[0], ingest_options, &g);
+    if (!s.ok()) return Fail(s);
+    ScopedStage stage("serialize");
     s = hcd::SaveBinary(g, args.pos[1]);
   }
   if (!s.ok()) return Fail(s);
@@ -740,7 +743,8 @@ int CmdBuild(const CliArgs& args) {
   if (!s.ok()) return Fail(s);
   const hcd::FlatHcdIndex& flat = engine->Flat();
   {
-    ScopedStage stage(engine->sink(), "serialize");
+    StageTelemetryBinding bind(&engine->telemetry());
+    ScopedStage stage("serialize");
     s = hcd::SaveFlatIndex(flat, args.pos[1]);
     stage.AddCounter("nodes", flat.NumNodes());
   }
@@ -804,7 +808,8 @@ int CmdExport(const CliArgs& args) {
   if (!s.ok()) return Fail(s);
   const hcd::FlatHcdIndex& flat = engine->Flat();
   {
-    ScopedStage stage(engine->sink(), "serialize");
+    StageTelemetryBinding bind(&engine->telemetry());
+    ScopedStage stage("serialize");
     std::ofstream out(args.pos[1]);
     if (!out) {
       return Fail(Status::IoError("cannot write " + args.pos[1]));
@@ -833,7 +838,8 @@ int CmdBestK(const CliArgs& args) {
   {
     std::optional<hcd::ThreadCountGuard> guard;
     if (args.options.threads > 0) guard.emplace(args.options.threads);
-    ScopedStage stage(engine->sink(), "bestk");
+    StageTelemetryBinding bind(&engine->telemetry());
+    ScopedStage stage("bestk");
     r = hcd::FindBestK(engine->graph(), cd, metric);
   }
   if (args.json) {
@@ -867,19 +873,20 @@ int CmdTruss(const CliArgs& args) {
   hcd::TrussDecomposition td;
   hcd::TrussForest forest;
   hcd::DensestTrussResult best;
+  StageTelemetryBinding bind(&engine->telemetry());
   {
-    ScopedStage stage(engine->sink(), "truss.decomposition");
+    ScopedStage stage("truss.decomposition");
     index = hcd::BuildEdgeIndexer(g);
     td = hcd::PeelTrussDecomposition(g, index);
     stage.AddCounter("k_max", td.k_max);
   }
   {
-    ScopedStage stage(engine->sink(), "truss.hierarchy");
+    ScopedStage stage("truss.hierarchy");
     forest = hcd::BuildTrussHierarchy(g, index, td);
     stage.AddCounter("nodes", forest.NumNodes());
   }
   {
-    ScopedStage stage(engine->sink(), "truss.densest");
+    ScopedStage stage("truss.densest");
     best = hcd::DensestTruss(g, index, forest);
   }
   if (args.json) {
@@ -920,7 +927,8 @@ int CmdInfluential(const CliArgs& args) {
   {
     std::optional<hcd::ThreadCountGuard> guard;
     if (args.options.threads > 0) guard.emplace(args.options.threads);
-    ScopedStage stage(engine->sink(), "influential");
+    StageTelemetryBinding bind(&engine->telemetry());
+    ScopedStage stage("influential");
     top = hcd::TopInfluentialCommunities(g, weights, k, r);
   }
   if (args.json) {
@@ -971,7 +979,8 @@ int CmdElementQueryBench(const CliArgs& args) {
   std::vector<hcd::bench::LatencyRecorder> recorders(workers);
   double wall = 0.0;
   {
-    ScopedStage stage(engine->sink(), "serve");
+    StageTelemetryBinding bind(&engine->telemetry());
+    ScopedStage stage("serve");
     hcd::Timer timer;
     std::vector<std::thread> pool;
     pool.reserve(workers);
@@ -1084,7 +1093,8 @@ int CmdQueryBench(const CliArgs& args) {
       workers, std::vector<hcd::bench::LatencyRecorder>(workload.size()));
   double wall = 0.0;
   {
-    ScopedStage stage(engine->sink(), "serve");
+    StageTelemetryBinding bind(&engine->telemetry());
+    ScopedStage stage("serve");
     hcd::Timer timer;
     std::vector<std::thread> pool;
     pool.reserve(workers);
@@ -1531,7 +1541,7 @@ int CmdServe(const CliArgs& args) {
   hcd::server::ServerOptions options;
   if (args.options.hierarchy != hcd::HierarchyKind::kCore) {
     if (snapshot_flat != nullptr) {
-      snapshot_element_index.emplace(snapshot_flat, nullptr);
+      snapshot_element_index.emplace(snapshot_flat);
       options.element_index = &*snapshot_element_index;
     } else {
       element_engine.emplace(Graph(graph), args.options);
