@@ -67,7 +67,7 @@ int main() {
     });
     const double pbks_b = hcd::bench::TimeWithThreads(pmax, [&] {
       ScoreNodes(flat, hcd::Metric::kClusteringCoefficient,
-                 PbksTypeBPrimary(g, cd, flat, vr, pre), globals);
+                 PbksTypeBPrimary(g, cd, flat), globals);
     });
 
     std::printf("%-4s |  %7.2fx %7.2fx %7.2fx %7.2fx\n", ds.name.c_str(),

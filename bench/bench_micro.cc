@@ -14,6 +14,7 @@
 #include "hcd/lcps.h"
 #include "hcd/phcd.h"
 #include "hcd/vertex_rank.h"
+#include "parallel/omp_utils.h"
 #include "parallel/union_find.h"
 #include "parallel/wf_union_find.h"
 #include "search/bks.h"
@@ -141,14 +142,27 @@ void BM_Freeze(benchmark::State& state) {
 }
 BENCHMARK(BM_Freeze);
 
-void BM_TypeAPrimary(benchmark::State& state) {
+// PBKS primary values at the thread count given as the argument.
+void BM_PbksTypeAPrimary(benchmark::State& state) {
   const auto& f = GetFixture();
+  hcd::ThreadCountGuard threads(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         hcd::PbksTypeAPrimary(f.graph, f.cd, f.flat, f.pre));
   }
+  state.SetItemsProcessed(state.iterations() * f.graph.NumVertices());
 }
-BENCHMARK(BM_TypeAPrimary);
+BENCHMARK(BM_PbksTypeAPrimary)->Arg(1)->Arg(4)->UseRealTime();
+
+void BM_PbksTypeBPrimary(benchmark::State& state) {
+  const auto& f = GetFixture();
+  hcd::ThreadCountGuard threads(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hcd::PbksTypeBPrimary(f.graph, f.cd, f.flat));
+  }
+  state.SetItemsProcessed(state.iterations() * f.graph.NumEdges());
+}
+BENCHMARK(BM_PbksTypeBPrimary)->Arg(1)->Arg(4)->UseRealTime();
 
 // Tracer overhead, disabled path: no tracer installed, so the ScopedSpan
 // pair is one relaxed atomic load plus a null test. This is the cost every
@@ -191,15 +205,6 @@ void BM_ScopedSpanEnabled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ScopedSpanEnabled);
-
-void BM_TypeBPrimary(benchmark::State& state) {
-  const auto& f = GetFixture();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        hcd::PbksTypeBPrimary(f.graph, f.cd, f.flat, f.vr, f.pre));
-  }
-}
-BENCHMARK(BM_TypeBPrimary);
 
 // One served query over the loopback socket protocol, instruments live.
 // The server resolves every counter/histogram once at Start, so the

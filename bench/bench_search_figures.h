@@ -70,9 +70,8 @@ inline int RunSearchSpeedupFigure(const char* title, bool type_b,
         });
       } else {
         const CorenessNeighborCounts pre = PreprocessCorenessCounts(g, cd);
-        const VertexRank vr = ComputeVertexRank(cd);
         t = TimeWithThreads(p, [&] {
-          auto primary = type_b ? PbksTypeBPrimary(g, cd, index, vr, pre)
+          auto primary = type_b ? PbksTypeBPrimary(g, cd, index)
                                 : PbksTypeAPrimary(g, cd, index, pre);
           ScoreNodes(index, metric, primary, globals);
         });

@@ -80,4 +80,17 @@ uint64_t MappedFile::TotalMappedBytes() {
   return g_total_mapped_bytes.load(std::memory_order_relaxed);
 }
 
+ScratchPages::ScratchPages(size_t bytes) : size_(bytes) {
+  if (bytes == 0) return;
+  void* addr = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  HCD_CHECK(addr != MAP_FAILED)
+      << "cannot map " << bytes << " scratch bytes: " << std::strerror(errno);
+  data_ = addr;
+}
+
+ScratchPages::~ScratchPages() {
+  if (data_ != nullptr) ::munmap(data_, size_);
+}
+
 }  // namespace hcd

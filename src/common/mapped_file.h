@@ -52,6 +52,30 @@ class MappedFile {
   std::string path_;
 };
 
+/// Zero-filled scratch memory in an anonymous private mapping of its own,
+/// for large arrays that live for one call: the pages go back to the OS
+/// when the object dies. A std::vector of the same size would, once glibc
+/// has raised its mmap threshold on an earlier free, come from the heap
+/// arenas and stay resident after the call. Aborts when the kernel refuses
+/// the mapping, as a failed allocation would.
+class ScratchPages {
+ public:
+  explicit ScratchPages(size_t bytes);
+  ScratchPages(const ScratchPages&) = delete;
+  ScratchPages& operator=(const ScratchPages&) = delete;
+  ~ScratchPages();
+
+  /// The mapping as an array of `T` (whole elements only).
+  template <typename T>
+  std::span<T> As() const {
+    return {static_cast<T*>(data_), size_ / sizeof(T)};
+  }
+
+ private:
+  void* data_ = nullptr;
+  size_t size_ = 0;
+};
+
 /// A section of a FlatHcdIndex: either owns its elements (a plain vector)
 /// or aliases a range inside a shared MappedFile. The storage seam is
 /// invisible to readers — data()/size()/operator[] are branch-free in both

@@ -105,6 +105,12 @@ Status FlatHcdIndex::Adopt(Data d, FlatHcdIndex* out) {
   if (d.vertices.size() > d.num_vertices) {
     return corrupt("more placed vertices than graph vertices");
   }
+  // Every vertex has a coreness, so a core hierarchy places all of them
+  // (the per-vertex checks below then make each placement unique); the
+  // search kernels charge every vertex to its node.
+  if (d.kind == HierarchyKind::kCore && d.vertices.size() != d.num_vertices) {
+    return corrupt("core index leaves a vertex unplaced");
+  }
 
   // Preorder nesting: a node's parent precedes it, sits at a strictly lower
   // level, and the child's subtree interval nests inside the parent's.

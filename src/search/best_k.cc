@@ -3,127 +3,41 @@
 #include <vector>
 
 #include "hcd/vertex_rank.h"
-#include "parallel/omp_utils.h"
+#include "search/pbks.h"
 #include "search/preprocess.h"
 
 namespace hcd {
-namespace {
-
-inline int64_t Choose2(int64_t x) { return x * (x - 1) / 2; }
-
-}  // namespace
 
 BestKResult FindBestK(const Graph& graph, const CoreDecomposition& cd,
                       Metric metric) {
-  const VertexId n = graph.NumVertices();
   const uint32_t num_levels = cd.k_max + 1;
   BestKResult result;
   result.scores.assign(num_levels, 0.0);
   result.per_k.assign(num_levels, {});
-  if (n == 0) return result;
+  if (graph.NumVertices() == 0) return result;
 
-  const CorenessNeighborCounts pre = PreprocessCorenessCounts(graph, cd);
-
-  // Per-level contributions (index = coreness at which the motif appears).
-  std::vector<int64_t> n_s(num_levels, 0);
-  std::vector<int64_t> edges2(num_levels, 0);
-  std::vector<int64_t> boundary(num_levels, 0);
-  std::vector<int64_t> triangles(num_levels, 0);
-  std::vector<int64_t> triplets(num_levels, 0);
-
-#pragma omp parallel for schedule(static)
-  for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
-    const VertexId v = static_cast<VertexId>(vi);
-    const int64_t gt = pre.greater[v];
-    const int64_t eq = pre.equal[v];
-    const int64_t lt = static_cast<int64_t>(graph.Degree(v)) - gt - eq;
-    const uint32_t c = cd.coreness[v];
-#pragma omp atomic
-    n_s[c] += 1;
-#pragma omp atomic
-    edges2[c] += 2 * gt + eq;
-#pragma omp atomic
-    boundary[c] += lt - gt;
-  }
-
+  // The PBKS tally kernels keyed by coreness level: in vertex-rank order
+  // each k-shell is one contiguous group, so per_k[k] first holds the
+  // contributions of the vertices of coreness k.
+  const VertexRank vr = ComputeVertexRank(cd);
+  const TallyGroups levels{vr.sorted, cd.coreness};
+  TallyTypeA(graph, PreprocessCorenessCounts(graph, cd), levels,
+             &result.per_k);
   if (IsTypeB(metric)) {
-    const VertexRank vr = ComputeVertexRank(cd);
-    const std::vector<VertexId>& rank = vr.rank;
-    auto degree_less = [&graph](VertexId a, VertexId b) {
-      const VertexId da = graph.Degree(a);
-      const VertexId db = graph.Degree(b);
-      return da < db || (da == db && a < b);
-    };
-#pragma omp parallel
-    {
-      std::vector<uint8_t> mark(n, 0);
-      std::vector<VertexId> cnt(num_levels, 0);
-#pragma omp for schedule(dynamic, 64)
-      for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
-        const VertexId v = static_cast<VertexId>(vi);
-        const auto nv = graph.Neighbors(v);
-        for (VertexId u : nv) mark[u] = 1;
-        for (VertexId u : nv) {
-          if (!degree_less(u, v)) continue;
-          for (VertexId w : graph.Neighbors(u)) {
-            if (mark[w] && rank[w] < rank[u] && rank[w] < rank[v]) {
-#pragma omp atomic
-              triangles[cd.coreness[w]] += 1;
-            }
-          }
-        }
-        for (VertexId u : nv) mark[u] = 0;
-
-        const uint32_t cv = cd.coreness[v];
-        int64_t gt_k = static_cast<int64_t>(pre.greater[v]) + pre.equal[v];
-        const int64_t own = Choose2(gt_k);
-        if (own != 0) {
-#pragma omp atomic
-          triplets[cv] += own;
-        }
-        if (cv > 0) {
-          for (VertexId u : nv) {
-            const uint32_t cu = cd.coreness[u];
-            if (cu < cv) ++cnt[cu];
-          }
-          for (int64_t k = static_cast<int64_t>(cv) - 1; k >= 0; --k) {
-            const int64_t c = cnt[k];
-            if (c > 0) {
-              const int64_t add = Choose2(c) + gt_k * c;
-#pragma omp atomic
-              triplets[k] += add;
-              gt_k += c;
-              cnt[k] = 0;
-            }
-          }
-        }
-      }
-    }
+    TallyTypeB(graph, cd, levels, &result.per_k, /*stats=*/nullptr);
   }
 
   // Suffix sums: K_k = union of shells with coreness >= k.
-  for (int64_t k = static_cast<int64_t>(num_levels) - 2; k >= 0; --k) {
-    n_s[k] += n_s[k + 1];
-    edges2[k] += edges2[k + 1];
-    boundary[k] += boundary[k + 1];
-    triangles[k] += triangles[k + 1];
-    triplets[k] += triplets[k + 1];
+  for (uint32_t k = num_levels - 1; k-- > 0;) {
+    result.per_k[k] += result.per_k[k + 1];
   }
 
   const GraphGlobals globals{graph.NumVertices(), graph.NumEdges()};
-  bool first = true;
   for (uint32_t k = 0; k < num_levels; ++k) {
-    PrimaryValues& pv = result.per_k[k];
-    pv.n_s = static_cast<uint64_t>(n_s[k]);
-    pv.edges2 = static_cast<uint64_t>(edges2[k]);
-    pv.boundary = static_cast<uint64_t>(boundary[k]);
-    pv.triangles = static_cast<uint64_t>(triangles[k]);
-    pv.triplets = static_cast<uint64_t>(triplets[k]);
-    result.scores[k] = EvaluateMetric(metric, pv, globals);
-    if (first || result.scores[k] > result.best_score) {
+    result.scores[k] = EvaluateMetric(metric, result.per_k[k], globals);
+    if (k == 0 || result.scores[k] > result.best_score) {
       result.best_k = k;
       result.best_score = result.scores[k];
-      first = false;
     }
   }
   return result;

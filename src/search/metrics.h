@@ -62,6 +62,18 @@ struct PrimaryValues {
   uint64_t boundary = 0;   ///< b(S): boundary edges
   uint64_t triangles = 0;  ///< Delta(S)
   uint64_t triplets = 0;   ///< t(S): paths of length 2
+
+  /// Field-wise sum. Unsigned wrap-around is exact here: the tally kernels
+  /// (pbks.h) add a group's own boundary contribution, which can be
+  /// negative, and every accumulated sum they produce is non-negative.
+  PrimaryValues& operator+=(const PrimaryValues& other) {
+    n_s += other.n_s;
+    edges2 += other.edges2;
+    boundary += other.boundary;
+    triangles += other.triangles;
+    triplets += other.triplets;
+    return *this;
+  }
 };
 
 /// Evaluates `metric` on primary values `pv` (uses `globals` where the

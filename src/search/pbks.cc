@@ -3,186 +3,251 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/mapped_file.h"
 #include "parallel/omp_utils.h"
 
 namespace hcd {
 namespace {
 
-/// Unaccumulated per-node tallies. Signed: a single node's boundary
-/// contribution (lt - gt summed over its vertices) can be negative before
-/// children are folded in.
-struct NodeTallies {
-  std::vector<int64_t> n_s;
-  std::vector<int64_t> edges2;
-  std::vector<int64_t> boundary;
-  std::vector<int64_t> triangles;
-  std::vector<int64_t> triplets;
+/// Vertices per chunk of the tally walks. Type-A work is O(1) per vertex;
+/// type-B work grows with the degree, so its chunks are small enough for
+/// the dynamic schedule to spread a dense core over the threads.
+constexpr size_t kTypeAChunk = 4096;
+constexpr size_t kTypeBChunk = 64;
 
-  explicit NodeTallies(TreeNodeId num_nodes)
-      : n_s(num_nodes, 0),
-        edges2(num_nodes, 0),
-        boundary(num_nodes, 0),
-        triangles(num_nodes, 0),
-        triplets(num_nodes, 0) {}
-};
+inline uint64_t Choose2(uint64_t x) { return x * (x - 1) / 2; }
 
-/// Parallel bottom-up tree accumulation (Algorithm 3 lines 6-9): processes
-/// the index's precomputed level groups in descending order; nodes inside a
-/// group accumulate into their parents concurrently (atomics: two
-/// same-level nodes may share a parent). When a node's group is reached,
-/// all its children (strictly higher levels) are final. No sort and no
-/// group-boundary scan — the frozen index ships both.
-void AccumulateUp(const FlatHcdIndex& index, NodeTallies* t) {
-  for (size_t g = 0; g < index.NumLevelGroups(); ++g) {
-    const std::span<const TreeNodeId> group = index.LevelGroup(g);
-#pragma omp parallel for schedule(static)
-    for (int64_t idx = 0; idx < static_cast<int64_t>(group.size()); ++idx) {
-      const TreeNodeId node = group[idx];
-      const TreeNodeId pa = index.Parent(node);
-      if (pa == kInvalidNode) continue;
+void AtomicAdd(const PrimaryValues& add, PrimaryValues* out) {
 #pragma omp atomic
-      t->n_s[pa] += t->n_s[node];
+  out->n_s += add.n_s;
 #pragma omp atomic
-      t->edges2[pa] += t->edges2[node];
+  out->edges2 += add.edges2;
 #pragma omp atomic
-      t->boundary[pa] += t->boundary[node];
+  out->boundary += add.boundary;
 #pragma omp atomic
-      t->triangles[pa] += t->triangles[node];
+  out->triangles += add.triangles;
 #pragma omp atomic
-      t->triplets[pa] += t->triplets[node];
+  out->triplets += add.triplets;
+}
+
+/// Worksharing loop over `groups.order` in chunks of `chunk` vertices; call
+/// it inside a parallel region. `visit(v, acc)` adds v's own-group
+/// contributions to the run accumulator `acc`, and each run of one group's
+/// vertices inside a chunk is added to `(*tallies)[group]` once. A run with
+/// other groups on both sides inside its chunk is the whole group (groups
+/// are contiguous in the order), so no other thread touches its entry and
+/// the add is plain; only a chunk's first and last run can share their
+/// group with another chunk, and add atomically.
+template <typename Visit>
+void ForEachRun(const TallyGroups& groups, size_t chunk,
+                std::vector<PrimaryValues>* tallies, Visit&& visit) {
+  const size_t size = groups.order.size();
+  const int64_t num_chunks = static_cast<int64_t>((size + chunk - 1) / chunk);
+#pragma omp for schedule(dynamic, 1)
+  for (int64_t c = 0; c < num_chunks; ++c) {
+    const size_t begin = static_cast<size_t>(c) * chunk;
+    const size_t end = std::min(size, begin + chunk);
+    for (size_t i = begin; i < end;) {
+      const size_t run_begin = i;
+      const uint32_t g = groups.group[groups.order[i]];
+      PrimaryValues acc;
+      do {
+        visit(groups.order[i], &acc);
+      } while (++i < end && groups.group[groups.order[i]] == g);
+      if (run_begin > begin && i < end) {
+        (*tallies)[g] += acc;
+      } else {
+        AtomicAdd(acc, &(*tallies)[g]);
+      }
     }
   }
 }
 
-std::vector<PrimaryValues> ToPrimaryValues(const NodeTallies& t) {
-  std::vector<PrimaryValues> out(t.n_s.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    HCD_DCHECK(t.n_s[i] >= 0);
-    HCD_DCHECK(t.edges2[i] >= 0);
-    HCD_DCHECK(t.boundary[i] >= 0);
-    out[i].n_s = static_cast<uint64_t>(t.n_s[i]);
-    out[i].edges2 = static_cast<uint64_t>(t.edges2[i]);
-    out[i].boundary = static_cast<uint64_t>(t.boundary[i]);
-    out[i].triangles = static_cast<uint64_t>(t.triangles[i]);
-    out[i].triplets = static_cast<uint64_t>(t.triplets[i]);
-  }
-  return out;
+/// The tree nodes of `index` as tally groups: the preorder vertex array
+/// keeps each node's own vertices contiguous.
+TallyGroups NodeGroups(const Graph& graph, const FlatHcdIndex& index) {
+  HCD_CHECK(index.NumVertices() == graph.NumVertices() &&
+            index.data().vertices.size() == graph.NumVertices())
+      << "the index must place every vertex of the graph";
+  return {index.data().vertices, index.data().tid};
 }
 
-inline int64_t Choose2(int64_t x) { return x * (x - 1) / 2; }
+/// Bottom-up tree accumulation (Algorithm 3 lines 6-9) as one
+/// reverse-preorder sweep: a parent precedes its children in preorder
+/// (Adopt validates it), so every node is final before it is added to its
+/// parent.
+void FoldUp(const FlatHcdIndex& index, std::vector<PrimaryValues>* t) {
+  for (TreeNodeId node = index.NumNodes(); node-- > 1;) {
+    const TreeNodeId pa = index.Parent(node);
+    if (pa != kInvalidNode) (*t)[pa] += (*t)[node];
+  }
+}
 
 }  // namespace
+
+void TallyTypeA(const Graph& graph, const CorenessNeighborCounts& pre,
+                const TallyGroups& groups,
+                std::vector<PrimaryValues>* tallies) {
+  HCD_CHECK_EQ(groups.order.size(), graph.NumVertices());
+  // Each vertex counts the edges whose lowest-rank endpoint it is: all
+  // edges to greater coreness, and half of the equal-coreness edges (each
+  // such edge is charged by both endpoints, hence the doubled-edge
+  // bookkeeping). Its boundary share is lt - gt.
+#pragma omp parallel
+  ForEachRun(groups, kTypeAChunk, tallies,
+             [&](VertexId v, PrimaryValues* acc) {
+               const uint64_t gt = pre.greater[v];
+               const uint64_t eq = pre.equal[v];
+               acc->n_s += 1;
+               acc->edges2 += 2 * gt + eq;
+               acc->boundary += graph.Degree(v) - 2 * gt - eq;
+             });
+}
+
+void TallyTypeB(const Graph& graph, const CoreDecomposition& cd,
+                const TallyGroups& groups, std::vector<PrimaryValues>* tallies,
+                TypeBStats* stats) {
+  const VertexId n = graph.NumVertices();
+  HCD_CHECK_EQ(groups.order.size(), n);
+  // The orientation: u follows v when (c(u), d(u), u) > (c(v), d(v), v).
+  // key[v] packs coreness above degree, so one load per neighbor yields
+  // both the coreness the triplets need and the orientation.
+  ScratchPages key_pages(static_cast<size_t>(n) * sizeof(uint64_t));
+  const std::span<uint64_t> key = key_pages.As<uint64_t>();
+  ParallelFor<VertexId>(0, n, [&](VertexId v) {
+    key[v] = uint64_t{cd.coreness[v]} << 32 | graph.Degree(v);
+  });
+  auto follows = [&](VertexId u, VertexId v) {
+    return key[u] > key[v] || (key[u] == key[v] && u > v);
+  };
+
+  // --- Triplets (lines 8-15), plus each vertex's forward degree. Wedges
+  // centered at v whose two arms both reach coreness >= c(v) go to v's
+  // group; a wedge whose lowest arm has coreness k < c(v) goes to the group
+  // of a neighbor of coreness k. Those charges land outside the walked run,
+  // so they go to `below`, merged at the end. Consecutive vertices mostly
+  // charge level k to the same group (an ancestor of their node), so each
+  // thread holds one pending sum per level and adds it atomically only
+  // when that level's group changes.
+  ScratchPages offset_pages((static_cast<size_t>(n) + 1) * sizeof(EdgeIndex));
+  const std::span<EdgeIndex> offsets = offset_pages.As<EdgeIndex>();
+  std::vector<uint64_t> below(tallies->size(), 0);
+  VertexId max_out = 0;
+#pragma omp parallel
+  {
+    std::vector<VertexId> cnt(cd.k_max + 1, 0);
+    std::vector<VertexId> rep(cd.k_max + 1, 0);
+    std::vector<uint32_t> held_group(cd.k_max + 1, 0);
+    std::vector<uint64_t> held(cd.k_max + 1, 0);
+    auto flush = [&](uint32_t k) {
+      if (held[k] == 0) return;
+#pragma omp atomic
+      below[held_group[k]] += held[k];
+      held[k] = 0;
+    };
+    VertexId thread_max_out = 0;
+    ForEachRun(groups, kTypeBChunk, tallies,
+               [&](VertexId v, PrimaryValues* acc) {
+                 const uint32_t cv = static_cast<uint32_t>(key[v] >> 32);
+                 uint32_t lowest = cv;
+                 uint64_t reach = 0;  // neighbors of coreness >= k
+                 VertexId out = 0;
+                 for (VertexId u : graph.Neighbors(v)) {
+                   const uint32_t cu = static_cast<uint32_t>(key[u] >> 32);
+                   if (cu < cv) {
+                     ++cnt[cu];
+                     rep[cu] = u;
+                     lowest = std::min(lowest, cu);
+                   } else {
+                     ++reach;
+                     out += follows(u, v);
+                   }
+                 }
+                 offsets[v + 1] = out;
+                 thread_max_out = std::max(thread_max_out, out);
+                 acc->triplets += Choose2(reach);
+                 for (uint32_t k = cv; k-- > lowest;) {
+                   const uint64_t c = cnt[k];
+                   if (c == 0) continue;
+                   const uint32_t g = groups.group[rep[k]];
+                   if (g != held_group[k]) {
+                     flush(k);
+                     held_group[k] = g;
+                   }
+                   held[k] += Choose2(c) + reach * c;
+                   reach += c;
+                   cnt[k] = 0;
+                 }
+               });
+    for (uint32_t k = 0; k <= cd.k_max; ++k) flush(k);
+#pragma omp critical
+    max_out = std::max(max_out, thread_max_out);
+  }
+  for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  HCD_DCHECK(offsets[n] == graph.NumEdges());
+
+  // --- Forward adjacency: each edge once, at its earlier endpoint, with
+  // neighbors ascending.
+  ScratchPages target_pages(offsets[n] * sizeof(VertexId));
+  const std::span<VertexId> targets = target_pages.As<VertexId>();
+  ParallelForDynamic<VertexId>(0, n, [&](VertexId v) {
+    EdgeIndex pos = offsets[v];
+    for (VertexId u : graph.Neighbors(v)) {
+      if (follows(u, v)) targets[pos++] = u;
+    }
+  });
+  auto forward = [&](VertexId v) {
+    return targets.subspan(offsets[v], offsets[v + 1] - offsets[v]);
+  };
+
+  // --- Triangles (lines 2-7): (v, u, w) with v -> u -> w and v -> w, found
+  // once, at v, the earliest corner. Its group is also that of the
+  // lowest-vertex-rank corner: both have the triangle's lowest coreness,
+  // and adjacent vertices of equal coreness share their tree node (and
+  // their level).
+  uint64_t triangles = 0;
+#pragma omp parallel reduction(+ : triangles)
+  {
+    std::vector<uint8_t> mark(n, 0);
+    ForEachRun(groups, kTypeBChunk, tallies,
+               [&](VertexId v, PrimaryValues* acc) {
+                 const std::span<const VertexId> out_v = forward(v);
+                 for (VertexId u : out_v) mark[u] = 1;
+                 uint64_t found = 0;
+                 for (VertexId u : out_v) {
+                   for (VertexId w : forward(u)) found += mark[w];
+                 }
+                 for (VertexId u : out_v) mark[u] = 0;
+                 acc->triangles += found;
+                 triangles += found;
+               });
+  }
+
+  for (size_t g = 0; g < below.size(); ++g) (*tallies)[g].triplets += below[g];
+  if (stats != nullptr) {
+    stats->forward_edges = offsets[n];
+    stats->max_out_degree = max_out;
+    stats->triangles = triangles;
+  }
+}
 
 std::vector<PrimaryValues> PbksTypeAPrimary(
     const Graph& graph, const CoreDecomposition& /*cd*/,
     const FlatHcdIndex& index, const CorenessNeighborCounts& pre) {
-  const VertexId n = graph.NumVertices();
-  NodeTallies t(index.NumNodes());
-
-  // Algorithm 4 lines 2-9: per-vertex contributions. Each vertex counts the
-  // edges whose lowest-rank endpoint it is: all edges to greater coreness,
-  // and half of the equal-coreness edges (each such edge is charged by both
-  // endpoints, hence the doubled-edge bookkeeping).
-#pragma omp parallel for schedule(static)
-  for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
-    const VertexId v = static_cast<VertexId>(vi);
-    const int64_t gt = pre.greater[v];
-    const int64_t eq = pre.equal[v];
-    const int64_t lt = static_cast<int64_t>(graph.Degree(v)) - gt - eq;
-    const TreeNodeId i = index.Tid(v);
-#pragma omp atomic
-    t.n_s[i] += 1;
-#pragma omp atomic
-    t.edges2[i] += 2 * gt + eq;
-#pragma omp atomic
-    t.boundary[i] += lt - gt;
-  }
-
-  AccumulateUp(index, &t);
-  return ToPrimaryValues(t);
+  std::vector<PrimaryValues> t(index.NumNodes());
+  TallyTypeA(graph, pre, NodeGroups(graph, index), &t);
+  FoldUp(index, &t);
+  return t;
 }
 
-std::vector<PrimaryValues> PbksTypeBPrimary(
-    const Graph& graph, const CoreDecomposition& cd, const FlatHcdIndex& index,
-    const VertexRank& vr, const CorenessNeighborCounts& pre) {
-  const VertexId n = graph.NumVertices();
-  NodeTallies t(index.NumNodes());
-  const std::vector<VertexId>& rank = vr.rank;
-
-  // Ordering of Algorithm 5 line 4: enumerate each edge once, from the
-  // higher-degree endpoint.
-  auto degree_less = [&graph](VertexId a, VertexId b) {
-    const VertexId da = graph.Degree(a);
-    const VertexId db = graph.Degree(b);
-    return da < db || (da == db && a < b);
-  };
-
-#pragma omp parallel
-  {
-    std::vector<uint8_t> mark(n, 0);
-    std::vector<VertexId> cnt(cd.k_max + 1, 0);
-    std::vector<VertexId> rep(cd.k_max + 1, 0);
-
-#pragma omp for schedule(dynamic, 64)
-    for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
-      const VertexId v = static_cast<VertexId>(vi);
-      const auto nv = graph.Neighbors(v);
-
-      // --- Triangles (lines 2-7): (v, u, w) with u the lower-degree
-      // neighbor and w their common neighbor; counted once, at the corner
-      // with the lowest vertex rank.
-      for (VertexId u : nv) mark[u] = 1;
-      for (VertexId u : nv) {
-        if (!degree_less(u, v)) continue;
-        for (VertexId w : graph.Neighbors(u)) {
-          if (mark[w] && rank[w] < rank[u] && rank[w] < rank[v]) {
-            const TreeNodeId i = index.Tid(w);
-#pragma omp atomic
-            t.triangles[i] += 1;
-          }
-        }
-      }
-      for (VertexId u : nv) mark[u] = 0;
-
-      // --- Triplets centered at v (lines 8-15). Wedges whose two arms both
-      // reach coreness >= c(v) appear with v (the lowest-rank member);
-      // wedges whose lowest arm has coreness k < c(v) appear at any
-      // neighbor w of coreness k.
-      const uint32_t cv = cd.coreness[v];
-      int64_t gt_k = static_cast<int64_t>(pre.greater[v]) + pre.equal[v];
-      {
-        const TreeNodeId i = index.Tid(v);
-        const int64_t add = Choose2(gt_k);
-        if (add != 0) {
-#pragma omp atomic
-          t.triplets[i] += add;
-        }
-      }
-      if (cv > 0) {
-        for (VertexId u : nv) {
-          const uint32_t cu = cd.coreness[u];
-          if (cu < cv) {
-            ++cnt[cu];
-            rep[cu] = u;
-          }
-        }
-        for (int64_t k = static_cast<int64_t>(cv) - 1; k >= 0; --k) {
-          const int64_t c = cnt[k];
-          if (c > 0) {
-            const TreeNodeId i = index.Tid(rep[k]);
-            const int64_t add = Choose2(c) + gt_k * c;
-#pragma omp atomic
-            t.triplets[i] += add;
-            gt_k += c;
-            cnt[k] = 0;
-          }
-        }
-      }
-    }
-  }
-
-  AccumulateUp(index, &t);
-  return ToPrimaryValues(t);
+std::vector<PrimaryValues> PbksTypeBPrimary(const Graph& graph,
+                                            const CoreDecomposition& cd,
+                                            const FlatHcdIndex& index,
+                                            TypeBStats* stats) {
+  std::vector<PrimaryValues> t(index.NumNodes());
+  TallyTypeB(graph, cd, NodeGroups(graph, index), &t, stats);
+  FoldUp(index, &t);
+  return t;
 }
 
 SearchResult ScoreNodes(const FlatHcdIndex& index, Metric metric,
@@ -206,13 +271,12 @@ SearchResult ScoreNodes(const FlatHcdIndex& index, Metric metric,
 
 SearchResult PbksSearch(const Graph& graph, const CoreDecomposition& cd,
                         const FlatHcdIndex& index, Metric metric) {
-  const CorenessNeighborCounts pre = PreprocessCorenessCounts(graph, cd);
   const GraphGlobals globals{graph.NumVertices(), graph.NumEdges()};
   if (IsTypeB(metric)) {
-    const VertexRank vr = ComputeVertexRank(cd);
-    return ScoreNodes(index, metric,
-                      PbksTypeBPrimary(graph, cd, index, vr, pre), globals);
+    return ScoreNodes(index, metric, PbksTypeBPrimary(graph, cd, index),
+                      globals);
   }
+  const CorenessNeighborCounts pre = PreprocessCorenessCounts(graph, cd);
   return ScoreNodes(index, metric, PbksTypeAPrimary(graph, cd, index, pre),
                     globals);
 }

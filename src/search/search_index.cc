@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/telemetry.h"
-#include "hcd/vertex_rank.h"
 
 namespace hcd {
 
@@ -38,19 +37,25 @@ TreeNodeId LevelArgmax::AtLeast(uint32_t k) const {
 SearchIndex::SearchIndex(const Graph& graph, const CoreDecomposition& cd,
                          const FlatHcdIndex& index)
     : globals_{graph.NumVertices(), graph.NumEdges()} {
-  CorenessNeighborCounts pre;
   {
-    ScopedStage stage("search.preprocess");
-    pre = PreprocessCorenessCounts(graph, cd);
-  }
-  {
+    // Scoped so the coreness counts are freed before the type-B pass
+    // allocates its forward adjacency.
+    CorenessNeighborCounts pre;
+    {
+      ScopedStage stage("search.preprocess");
+      pre = PreprocessCorenessCounts(graph, cd);
+    }
     ScopedStage stage("search.primary_a");
     type_a_ = PbksTypeAPrimary(graph, cd, index, pre);
+    stage.AddCounter("nodes", index.NumNodes());
   }
   {
     ScopedStage stage("search.primary_b");
-    const VertexRank vr = ComputeVertexRank(cd);
-    type_b_ = PbksTypeBPrimary(graph, cd, index, vr, pre);
+    TypeBStats stats;
+    type_b_ = PbksTypeBPrimary(graph, cd, index, &stats);
+    stage.AddCounter("forward_edges", stats.forward_edges);
+    stage.AddCounter("max_out_degree", stats.max_out_degree);
+    stage.AddCounter("triangles", stats.triangles);
   }
   {
     ScopedStage stage("search.argmax_tables");

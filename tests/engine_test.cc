@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <latch>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,6 +68,33 @@ TEST(EngineTest, DecompositionRunsExactlyOnce) {
   EXPECT_EQ(t.CountStage("search.primary_b"), 1u);
   EXPECT_EQ(t.CountStage("search.argmax_tables"), 1u);
   EXPECT_EQ(t.CountStage("search.score"), 3u);
+}
+
+TEST(EngineTest, SearchIndexStagesCarryKernelCounters) {
+  HcdEngine engine(RMatGraph500(9, 3000, 5));
+  const SearchIndex& sidx = engine.Searcher();
+  const FlatHcdIndex& flat = engine.Flat();
+  auto counters_of = [&](const std::string& stage) {
+    std::map<std::string, uint64_t> out;
+    for (const StageRecord& r : engine.telemetry().records()) {
+      if (r.stage != stage) continue;
+      for (const StageCounter& c : r.counters) out[c.name] = c.value;
+    }
+    return out;
+  };
+  EXPECT_EQ(counters_of("search.primary_a")["nodes"], flat.NumNodes());
+  std::map<std::string, uint64_t> b = counters_of("search.primary_b");
+  EXPECT_EQ(b["forward_edges"], engine.graph().NumEdges());
+  uint64_t triangles = 0;
+  for (TreeNodeId root : flat.Roots()) {
+    triangles += sidx.TypeBPrimary()[root].triangles;
+  }
+  EXPECT_GT(triangles, 0u);
+  EXPECT_EQ(b["triangles"], triangles);
+  EXPECT_GT(b["max_out_degree"], 0u);
+  EXPECT_LE(b["max_out_degree"],
+            engine.Coreness().k_max +
+                std::sqrt(2.0 * engine.graph().NumEdges()));
 }
 
 TEST(EngineTest, BindingRecordsOneStagePerLibraryCall) {

@@ -202,6 +202,24 @@ void ExpectAdoptCorruption(FlatHcdIndex::Data d, const char* what) {
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << what << ": " << s.ToString();
 }
 
+/// A core index over a 3-vertex path that places only vertices 0 and 1.
+/// Every section agrees with every other, but vertex 2 has no node: the
+/// search kernels, which charge each vertex to its node, would index past
+/// their tables.
+FlatHcdIndex PathIndexMissingVertex2() {
+  HcdForest forest(3);
+  const TreeNodeId t = forest.NewNode(1);
+  forest.AddVertex(t, 0);
+  forest.AddVertex(t, 1);
+  return Freeze(forest);
+}
+
+TEST(FlatIndexAdopt, RejectsCoreIndexWithUnplacedVertex) {
+  const FlatHcdIndex partial = PathIndexMissingVertex2();
+  ASSERT_EQ(partial.Tid(2), kInvalidNode);
+  ExpectAdoptCorruption(partial.data(), "core vertex 2 unplaced");
+}
+
 TEST(FlatIndexAdopt, RejectsEveryInvariantViolation) {
   const FlatHcdIndex::Data valid = ValidData();
   ASSERT_GE(valid.levels.size(), 3u);
@@ -421,6 +439,11 @@ TEST_F(FlatSnapshotCorruption, HeaderCountsDisagreeWithFileSize) {
   ExpectCorrupt(WithHeaderWord(3, HeaderWord(3) + 1), "num_roots + 1");
   ExpectCorrupt(WithHeaderWord(2, 1ULL << 40), "absurd num_nodes");
   ExpectCorrupt(WithHeaderWord(7, 1), "nonzero reserved word");
+}
+
+TEST_F(FlatSnapshotCorruption, UnplacedCoreVertexFailsBothLoaders) {
+  ASSERT_TRUE(SaveFlatIndex(PathIndexMissingVertex2(), path_).ok());
+  ExpectCorrupt(ReadAll(path_), "core vertex 2 unplaced");
 }
 
 TEST_F(FlatSnapshotCorruption, TamperedSectionsFailAdopt) {

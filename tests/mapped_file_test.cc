@@ -77,6 +77,25 @@ TEST(MappedFile, TotalMappedBytesTracksLifetime) {
   std::remove(path.c_str());
 }
 
+TEST(ScratchPages, ZeroFilledWritableAndTyped) {
+  ScratchPages pages(3 * 4096 + 8);
+  const std::span<uint64_t> words = pages.As<uint64_t>();
+  ASSERT_EQ(words.size(), (3 * 4096 + 8) / sizeof(uint64_t));
+  for (const uint64_t w : words) ASSERT_EQ(w, 0u);
+  for (size_t i = 0; i < words.size(); ++i) words[i] = i;
+  EXPECT_EQ(words.back(), words.size() - 1);
+  // Whole elements only: 12296 bytes hold 1024 12-byte records.
+  struct Triple {
+    uint32_t a, b, c;
+  };
+  EXPECT_EQ(pages.As<Triple>().size(), (3 * 4096 + 8) / sizeof(Triple));
+}
+
+TEST(ScratchPages, EmptyMapsNothing) {
+  ScratchPages pages(0);
+  EXPECT_TRUE(pages.As<uint32_t>().empty());
+}
+
 // ---------------------------------------------------------------------------
 // ArrayRef, owned mode: vector semantics.
 

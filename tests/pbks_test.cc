@@ -48,21 +48,31 @@ void ExpectPrimaryEqual(const std::vector<PrimaryValues>& got,
 
 class PbksSuite : public ::testing::TestWithParam<testing::GraphCase> {};
 
+// The kernels split their walks over the threads; 1 and 4 threads cover
+// both the single-chunk-per-thread and the shared-node paths.
+constexpr int kOracleThreads[] = {1, 4};
+
 TEST_P(PbksSuite, TypeAPrimaryMatchesBruteForce) {
   Pipeline p = Build(GetParam().graph);
   const auto pre = PreprocessCorenessCounts(p.graph, p.cd);
-  ExpectPrimaryEqual(PbksTypeAPrimary(p.graph, p.cd, p.flat, pre),
-                     BruteNodePrimaryValues(p.graph, p.flat),
-                     /*type_b=*/false);
+  const auto want = BruteNodePrimaryValues(p.graph, p.flat);
+  for (int threads : kOracleThreads) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadCountGuard guard(threads);
+    ExpectPrimaryEqual(PbksTypeAPrimary(p.graph, p.cd, p.flat, pre), want,
+                       /*type_b=*/false);
+  }
 }
 
 TEST_P(PbksSuite, TypeBPrimaryMatchesBruteForce) {
   Pipeline p = Build(GetParam().graph);
-  const auto pre = PreprocessCorenessCounts(p.graph, p.cd);
-  const auto vr = ComputeVertexRank(p.cd);
-  ExpectPrimaryEqual(PbksTypeBPrimary(p.graph, p.cd, p.flat, vr, pre),
-                     BruteNodePrimaryValues(p.graph, p.flat),
-                     /*type_b=*/true);
+  const auto want = BruteNodePrimaryValues(p.graph, p.flat);
+  for (int threads : kOracleThreads) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadCountGuard guard(threads);
+    ExpectPrimaryEqual(PbksTypeBPrimary(p.graph, p.cd, p.flat), want,
+                       /*type_b=*/true);
+  }
 }
 
 TEST_P(PbksSuite, BksPrimaryMatchesBruteForce) {
@@ -122,6 +132,30 @@ TEST(Pbks, PaperExample2BestAverageDegreeIsS31) {
   EXPECT_NEAR(r.best_score, 40.0 / 9.0, 1e-12);
 }
 
+TEST(Pbks, TypeBMatchesBksOnRmatAtFourThreads) {
+  // A skewed graph with many tree nodes and chunks that split nodes; BKS
+  // keeps the paper's degree-ordered enumeration, so it is an independent
+  // oracle for the oriented one.
+  Pipeline p = Build(RMatGraph500(12, 40000, 5));
+  const auto index = BuildBksIndex(p.graph, p.cd);
+  const auto want =
+      BksTypeBPrimary(p.graph, p.cd, p.flat, index, ComputeVertexRank(p.cd));
+  ThreadCountGuard guard(4);
+  TypeBStats stats;
+  ExpectPrimaryEqual(PbksTypeBPrimary(p.graph, p.cd, p.flat, &stats), want,
+                     /*type_b=*/true);
+  EXPECT_EQ(stats.forward_edges, p.graph.NumEdges());
+  uint64_t root_triangles = 0;
+  for (TreeNodeId root : p.flat.Roots()) {
+    root_triangles += want[root].triangles;
+  }
+  EXPECT_EQ(stats.triangles, root_triangles);
+  EXPECT_GT(stats.triangles, 0u);
+  // The out-degree bound of the (coreness, degree, id) orientation.
+  EXPECT_LE(stats.max_out_degree,
+            p.cd.k_max + std::sqrt(2.0 * p.graph.NumEdges()));
+}
+
 TEST(Pbks, SearchIndexAgreesWithOneShot) {
   Pipeline p = Build(BarabasiAlbert(250, 4, 21));
   SearchIndex sidx(p.graph, p.cd, p.flat);
@@ -150,8 +184,7 @@ TEST(Pbks, WholeGraphScoresMatchDirectComputation) {
   EXPECT_EQ(vals[0].n_s, 8u);
   EXPECT_EQ(vals[0].edges2, 2u * 28u);
   EXPECT_EQ(vals[0].boundary, 0u);
-  const auto vr = ComputeVertexRank(p.cd);
-  auto valsb = PbksTypeBPrimary(p.graph, p.cd, p.flat, vr, pre);
+  auto valsb = PbksTypeBPrimary(p.graph, p.cd, p.flat);
   EXPECT_EQ(valsb[0].triangles, 56u);  // C(8,3)
   EXPECT_EQ(valsb[0].triplets, 8u * 21u);  // 8 * C(7,2)
 }
