@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <vector>
 
 #include "common/check.h"
 #include "common/telemetry.h"
@@ -88,13 +89,28 @@ CoreDecomposition PkcCoreDecomposition(const Graph& graph) {
   ParallelFor<VertexId>(0, n, [&](VertexId v) {
     deg[v].store(graph.Degree(v), std::memory_order_relaxed);
   });
+  // A level's scan only has to visit the unpeeled vertices; peeled ones keep
+  // a degree below the level. The scan covers all n vertices until half of
+  // them are peeled, then a list of the unpeeled ones, rebuilt serially from
+  // the scanned sequence whenever half of it has been peeled. Each rebuild
+  // at least halves the sequence, so all of them together read at most 2n
+  // entries, and graphs with few levels (most vertices peeled at the last
+  // ones) never build the list.
+  bool scan_all = true;
+  std::vector<VertexId> unpeeled;
+  auto scan_vertex = [&](int64_t i) {
+    return scan_all ? static_cast<VertexId>(i) : unpeeled[i];
+  };
 
   uint64_t visited = 0;
+  uint64_t scanned = 0;
   uint32_t level = 0;
   uint32_t observed_kmax = 0;
   const uint32_t max_deg = graph.MaxDegree();
   while (visited < n) {
     uint64_t round = 0;
+    const int64_t scan_size =
+        scan_all ? int64_t{n} : static_cast<int64_t>(unpeeled.size());
     // One span per peeling round (orchestrating thread) plus one per worker
     // inside the region: the per-worker spans expose the round's load
     // balance, which a flat per-stage time cannot show.
@@ -106,8 +122,8 @@ CoreDecomposition PkcCoreDecomposition(const Graph& graph) {
       worker_span.AddArg("level", level);
       std::vector<VertexId> buff;
 #pragma omp for schedule(static)
-      for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
-        VertexId v = static_cast<VertexId>(vi);
+      for (int64_t i = 0; i < scan_size; ++i) {
+        const VertexId v = scan_vertex(i);
         if (deg[v].load(std::memory_order_relaxed) == level) buff.push_back(v);
       }
       while (!buff.empty()) {
@@ -132,13 +148,26 @@ CoreDecomposition PkcCoreDecomposition(const Graph& graph) {
       }
     }
     round_span.AddArg("peeled", round);
+    round_span.AddArg("scanned", scan_size);
     if (round > 0) observed_kmax = level;
     visited += round;
+    scanned += scan_size;
+    if (visited < n && 2 * (n - visited) <= static_cast<uint64_t>(scan_size)) {
+      std::vector<VertexId> next;
+      next.reserve(n - visited);
+      for (int64_t i = 0; i < scan_size; ++i) {
+        const VertexId v = scan_vertex(i);
+        if (deg[v].load(std::memory_order_relaxed) > level) next.push_back(v);
+      }
+      unpeeled = std::move(next);
+      scan_all = false;
+    }
     ++level;
     HCD_CHECK(level <= max_deg + 1) << "PKC failed to converge";
   }
   cd.k_max = observed_kmax;
   stage.AddCounter("levels", level);
+  stage.AddCounter("scanned", scanned);
   stage.AddCounter("k_max", cd.k_max);
   return cd;
 }

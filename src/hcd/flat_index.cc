@@ -357,9 +357,10 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
   std::vector<TreeNodeId> old2new(num_nodes);
   // One preorder DFS per tree; trees write disjoint ranges of every output
   // array, so the loop is embarrassingly parallel (dynamic: tree sizes are
-  // typically very skewed). The parallel/for split exists so each worker can
-  // carry a span of its own — the trace then shows the tree-size skew
-  // directly.
+  // typically very skewed, but most trees are single nodes, so roots are
+  // handed out 64 at a time). Each worker reuses one DFS stack. The
+  // parallel/for split exists so each worker can carry a span of its own —
+  // the trace then shows the tree-size skew directly.
   {
     ScopedSpan span("freeze.preorder");
     span.AddArg("roots", num_roots);
@@ -367,11 +368,12 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
     {
       ScopedSpan worker_span("freeze.preorder.worker");
       TreeNodeId numbered = 0;
-#pragma omp for schedule(dynamic)
+      std::vector<TreeNodeId> stack;
+#pragma omp for schedule(dynamic, 64)
       for (int64_t r = 0; r < static_cast<int64_t>(num_roots); ++r) {
         TreeNodeId next_id = node_base[r];
         uint32_t next_slot = vert_base[r];
-        std::vector<TreeNodeId> stack = {old_roots[r]};
+        stack.assign(1, old_roots[r]);
         while (!stack.empty()) {
           const TreeNodeId old_t = stack.back();
           stack.pop_back();

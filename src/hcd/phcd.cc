@@ -98,7 +98,9 @@ HcdForest PhcdBuildSerial(const Graph& graph, const CoreDecomposition& cd) {
   return forest;
 }
 
-HcdForest PhcdBuildParallel(const Graph& graph, const CoreDecomposition& cd) {
+/// Adds the number of atomic exchanges Step 1 ran to `*pivot_exchanges`.
+HcdForest PhcdBuildParallel(const Graph& graph, const CoreDecomposition& cd,
+                            uint64_t* pivot_exchanges) {
   const VertexId n = graph.NumVertices();
   HcdForest forest(n);
 
@@ -136,10 +138,18 @@ HcdForest PhcdBuildParallel(const Graph& graph, const CoreDecomposition& cd) {
     shell_span.AddArg("shell_size", shell.size());
 
     // Step 1: pivots of existing k'-cores (k' > k) adjacent to the k-shell.
+    // Test before claim: most edges into higher cores name a pivot that is
+    // already recorded (on skewed graphs nearly all name the giant
+    // component's), so a load filters them and only a pivot still
+    // unclaimed pays the exchange on its cache line. A flag only goes
+    // false -> true inside this step and Step 4 resets it after the
+    // barrier, so a stale `false` merely costs one exchange and the set of
+    // recorded pivots is the same as with an exchange per edge.
     kpc_pivot.clear();
     {
       ScopedSpan step_span("phcd.pivots");
-#pragma omp parallel num_threads(pmax)
+      uint64_t shell_exchanges = 0;
+#pragma omp parallel num_threads(pmax) reduction(+ : shell_exchanges)
       {
         ScopedSpan worker_span("phcd.pivots.worker");
         worker_span.AddArg("k", ck);
@@ -151,6 +161,8 @@ HcdForest PhcdBuildParallel(const Graph& graph, const CoreDecomposition& cd) {
           for (VertexId u : graph.Neighbors(v)) {
             if (coreness[u] > ck) {
               VertexId pvt = uf.GetPivot(u);
+              if (in_kpc[pvt].load()) continue;
+              ++shell_exchanges;
               if (!in_kpc[pvt].exchange(true)) mine.push_back(pvt);
             }
           }
@@ -160,6 +172,8 @@ HcdForest PhcdBuildParallel(const Graph& graph, const CoreDecomposition& cd) {
         kpc_pivot.insert(kpc_pivot.end(), mine.begin(), mine.end());
       }
       step_span.AddArg("pivots", kpc_pivot.size());
+      step_span.AddArg("exchanges", shell_exchanges);
+      *pivot_exchanges += shell_exchanges;
     }
 
     // Step 2: connect the k-shell to the existing graph.
@@ -232,13 +246,16 @@ HcdForest PhcdBuildParallel(const Graph& graph, const CoreDecomposition& cd) {
 
 HcdForest PhcdBuild(const Graph& graph, const CoreDecomposition& cd) {
   ScopedStage stage("construction");
+  uint64_t pivot_exchanges = 0;
   HcdForest forest =
       graph.NumVertices() == 0
           ? HcdForest(0)
-          : (MaxThreads() == 1 ? PhcdBuildSerial(graph, cd)
-                               : PhcdBuildParallel(graph, cd));
+          : (MaxThreads() == 1
+                 ? PhcdBuildSerial(graph, cd)
+                 : PhcdBuildParallel(graph, cd, &pivot_exchanges));
   stage.AddCounter("shells", cd.k_max + 1);
   stage.AddCounter("nodes", forest.NumNodes());
+  stage.AddCounter("pivot_exchanges", pivot_exchanges);
   return forest;
 }
 

@@ -29,7 +29,8 @@ namespace hcd {
 /// "PHCD (1)" serial configuration.
 ///
 /// Requires `cd` to be the core decomposition of `graph`. Records a
-/// "construction" stage (counters: shells, nodes).
+/// "construction" stage (counters: shells, nodes, pivot_exchanges — the
+/// atomic exchanges Step 1 ran; 0 on the serial path, which runs none).
 HcdForest PhcdBuild(const Graph& graph, const CoreDecomposition& cd);
 
 }  // namespace hcd

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/telemetry.h"
 #include "core/core_decomposition.h"
 #include "core/julienne.h"
 #include "core/naive.h"
@@ -116,6 +117,36 @@ TEST(PkcCoreDecomposition, RandomSweep) {
     CoreDecomposition bz = BzCoreDecomposition(g);
     CoreDecomposition pkc = PkcCoreDecomposition(g);
     EXPECT_EQ(bz.coreness, pkc.coreness) << "seed=" << seed;
+  }
+}
+
+TEST(PkcCoreDecomposition, DeepHierarchyMatchesBzAtEveryThreadCount) {
+  // Enough levels that the unpeeled list is compacted several times.
+  Graph g = RMatGraph500(13, 120000, 7);
+  const CoreDecomposition bz = BzCoreDecomposition(g);
+  for (int threads : {1, 2, 4}) {
+    ThreadCountGuard guard(threads);
+    StageTelemetry telemetry;
+    CoreDecomposition pkc;
+    {
+      StageTelemetryBinding bind(&telemetry);
+      pkc = PkcCoreDecomposition(g);
+    }
+    EXPECT_EQ(pkc.coreness, bz.coreness) << "threads=" << threads;
+    EXPECT_EQ(pkc.k_max, bz.k_max) << "threads=" << threads;
+    ASSERT_EQ(telemetry.records().size(), 1u);
+    uint64_t levels = 0;
+    uint64_t scanned = 0;
+    for (const StageCounter& c : telemetry.records()[0].counters) {
+      if (c.name == "levels") levels = c.value;
+      if (c.name == "scanned") scanned = c.value;
+    }
+    EXPECT_GT(levels, 50u) << "threads=" << threads;
+    // Level 0 scans every vertex; the compacted list keeps the total well
+    // under a full rescan per level (about a quarter of it here).
+    EXPECT_GE(scanned, g.NumVertices());
+    EXPECT_LT(scanned, uint64_t{g.NumVertices()} * levels / 2)
+        << "threads=" << threads;
   }
 }
 

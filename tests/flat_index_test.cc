@@ -167,6 +167,43 @@ TEST(FlatIndex, FreezeStableAcrossThreadCounts) {
   }
 }
 
+void ExpectSectionsEqual(const FlatHcdIndex& a, const FlatHcdIndex& b) {
+  const FlatHcdIndex::Data& x = a.data();
+  const FlatHcdIndex::Data& y = b.data();
+  EXPECT_EQ(x.kind, y.kind);
+  EXPECT_EQ(x.num_vertices, y.num_vertices);
+  EXPECT_EQ(x.num_graph_vertices, y.num_graph_vertices);
+  EXPECT_EQ(x.element_members, y.element_members);
+  EXPECT_EQ(x.levels, y.levels);
+  EXPECT_EQ(x.parents, y.parents);
+  EXPECT_EQ(x.subtree_nodes, y.subtree_nodes);
+  EXPECT_EQ(x.child_offsets, y.child_offsets);
+  EXPECT_EQ(x.children, y.children);
+  EXPECT_EQ(x.vertex_offsets, y.vertex_offsets);
+  EXPECT_EQ(x.vertices, y.vertices);
+  EXPECT_EQ(x.tid, y.tid);
+  EXPECT_EQ(x.desc_level_order, y.desc_level_order);
+  EXPECT_EQ(x.level_group_offsets, y.level_group_offsets);
+  EXPECT_EQ(x.roots, y.roots);
+}
+
+TEST(FlatIndex, FreezeManyRootsSectionIdenticalAcrossThreadCounts) {
+  // RMAT leaves thousands of isolated vertices and small components, each
+  // its own tree, so the preorder loop hands out many chunks of roots and
+  // every worker reuses its stack across trees of very different sizes.
+  Graph g = RMatGraph500(13, 60000, 5);
+  CoreDecomposition cd = BzCoreDecomposition(g);
+  HcdForest forest = PhcdBuild(g, cd);
+  FlatHcdIndex serial;
+  {
+    ThreadCountGuard guard(1);
+    serial = Freeze(forest);
+  }
+  ASSERT_GT(serial.data().roots.size(), 1000u);
+  ThreadCountGuard guard(4);
+  ExpectSectionsEqual(Freeze(forest), serial);
+}
+
 TEST(FlatIndex, MoveFreezeReleasesForest) {
   Graph g = PlantedHierarchy(OnionSpec(5, 8), 2);
   CoreDecomposition cd = BzCoreDecomposition(g);

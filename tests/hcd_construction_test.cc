@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/random.h"
+#include "common/telemetry.h"
 #include "core/core_decomposition.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -140,6 +141,43 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<testing::GraphCase>& info) {
       return info.param.name;
     });
+
+TEST(HcdConstruction, ParallelPhcdMatchesSerialAtScale) {
+  // RMAT: hundreds of shells and a giant component whose pivot nearly every
+  // edge into a higher core names. Gnm: one giant component, few shells.
+  for (const Graph& g :
+       {RMatGraph500(13, 120000, 3), ErdosRenyiGnm(20000, 100000, 4)}) {
+    const CoreDecomposition cd = BzCoreDecomposition(g);
+    HcdForest serial;
+    {
+      ThreadCountGuard guard(1);
+      serial = PhcdBuild(g, cd);
+    }
+    uint64_t child_nodes = 0;
+    for (TreeNodeId t = 0; t < serial.NumNodes(); ++t) {
+      if (serial.Parent(t) != kInvalidNode) ++child_nodes;
+    }
+    for (int threads : {2, 4}) {
+      ThreadCountGuard guard(threads);
+      StageTelemetry telemetry;
+      {
+        StageTelemetryBinding bind(&telemetry);
+        EXPECT_TRUE(HcdEquals(PhcdBuild(g, cd), serial))
+            << "n=" << g.NumVertices() << " threads=" << threads;
+      }
+      // Step 1 records each child node's pivot once. A thread exchanges a
+      // flag at most once per shell (after its own exchange it reads true),
+      // so the exchanges lie between the recorded pivots and threads times
+      // that, however many edges name the pivot.
+      uint64_t exchanges = ~uint64_t{0};
+      for (const StageCounter& c : telemetry.records().at(0).counters) {
+        if (c.name == "pivot_exchanges") exchanges = c.value;
+      }
+      EXPECT_GE(exchanges, child_nodes) << "threads=" << threads;
+      EXPECT_LE(exchanges, child_nodes * threads) << "threads=" << threads;
+    }
+  }
+}
 
 TEST(HcdConstruction, RandomSweepAllBuildersAgree) {
   for (uint64_t seed : testing::SweepSeeds()) {
