@@ -86,21 +86,16 @@ CoreDecomposition PkcCoreDecomposition(const Graph& graph) {
   if (n == 0) return cd;
 
   std::unique_ptr<std::atomic<uint32_t>[]> deg(new std::atomic<uint32_t>[n]);
+  // A level's scan only has to visit the unpeeled vertices: peeled ones keep
+  // a degree below the level. `unpeeled` starts as all n vertices and is
+  // compacted (serially, in place) whenever half of it has been peeled. Each
+  // compaction at least halves the list, so all of them together read at
+  // most 2n entries.
+  std::vector<VertexId> unpeeled(n);
   ParallelFor<VertexId>(0, n, [&](VertexId v) {
     deg[v].store(graph.Degree(v), std::memory_order_relaxed);
+    unpeeled[v] = v;
   });
-  // A level's scan only has to visit the unpeeled vertices; peeled ones keep
-  // a degree below the level. The scan covers all n vertices until half of
-  // them are peeled, then a list of the unpeeled ones, rebuilt serially from
-  // the scanned sequence whenever half of it has been peeled. Each rebuild
-  // at least halves the sequence, so all of them together read at most 2n
-  // entries, and graphs with few levels (most vertices peeled at the last
-  // ones) never build the list.
-  bool scan_all = true;
-  std::vector<VertexId> unpeeled;
-  auto scan_vertex = [&](int64_t i) {
-    return scan_all ? static_cast<VertexId>(i) : unpeeled[i];
-  };
 
   uint64_t visited = 0;
   uint64_t scanned = 0;
@@ -109,8 +104,7 @@ CoreDecomposition PkcCoreDecomposition(const Graph& graph) {
   const uint32_t max_deg = graph.MaxDegree();
   while (visited < n) {
     uint64_t round = 0;
-    const int64_t scan_size =
-        scan_all ? int64_t{n} : static_cast<int64_t>(unpeeled.size());
+    const int64_t scan_size = static_cast<int64_t>(unpeeled.size());
     // One span per peeling round (orchestrating thread) plus one per worker
     // inside the region: the per-worker spans expose the round's load
     // balance, which a flat per-stage time cannot show.
@@ -123,7 +117,7 @@ CoreDecomposition PkcCoreDecomposition(const Graph& graph) {
       std::vector<VertexId> buff;
 #pragma omp for schedule(static)
       for (int64_t i = 0; i < scan_size; ++i) {
-        const VertexId v = scan_vertex(i);
+        const VertexId v = unpeeled[i];
         if (deg[v].load(std::memory_order_relaxed) == level) buff.push_back(v);
       }
       while (!buff.empty()) {
@@ -152,15 +146,10 @@ CoreDecomposition PkcCoreDecomposition(const Graph& graph) {
     if (round > 0) observed_kmax = level;
     visited += round;
     scanned += scan_size;
-    if (visited < n && 2 * (n - visited) <= static_cast<uint64_t>(scan_size)) {
-      std::vector<VertexId> next;
-      next.reserve(n - visited);
-      for (int64_t i = 0; i < scan_size; ++i) {
-        const VertexId v = scan_vertex(i);
-        if (deg[v].load(std::memory_order_relaxed) > level) next.push_back(v);
-      }
-      unpeeled = std::move(next);
-      scan_all = false;
+    if (visited < n && 2 * (n - visited) <= unpeeled.size()) {
+      std::erase_if(unpeeled, [&](VertexId v) {
+        return deg[v].load(std::memory_order_relaxed) <= level;
+      });
     }
     ++level;
     HCD_CHECK(level <= max_deg + 1) << "PKC failed to converge";

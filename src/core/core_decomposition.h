@@ -28,10 +28,9 @@ CoreDecomposition BzCoreDecomposition(const Graph& graph);
 
 /// Parallel PKC-style core decomposition (Kabir & Madduri): level-
 /// synchronous peeling with thread-local worklists and atomic degree
-/// decrements. Once half the vertices are peeled, a level scans only a list
-/// of the unpeeled ones (rebuilt whenever half of it is peeled), so the
-/// scans cost O(n + sum over levels of the unpeeled count) instead of
-/// O(n * k_max).
+/// decrements. A level scans a list of the unpeeled vertices, compacted
+/// whenever half of it is peeled, so the scans cost O(n + sum over levels
+/// of the unpeeled count) instead of O(n * k_max).
 /// Uses the current OpenMP thread count. Records a "decomposition" stage
 /// (counters: levels, scanned — the vertex visits of the level scans,
 /// k_max).
